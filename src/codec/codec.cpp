@@ -132,23 +132,28 @@ std::size_t Codec::warm(std::span<const FailureScenario> scenarios) {
   if (store == nullptr) return 0;
   std::size_t warmed = 0;
   for (const FailureScenario& scenario : scenarios) {
-    std::shared_ptr<const CachedPlan> plan;
-    switch (store->load(*code_, scenario, &plan)) {
-      case planstore::PlanStore::LoadResult::kLoaded:
-        metrics_.planstore_loads.add();
-        cache_.insert(plan_key(scenario), std::move(plan));
-        metrics_.planstore_warm_hits.add();
-        ++warmed;
-        break;
-      case planstore::PlanStore::LoadResult::kRejected:
-        metrics_.planstore_load_failures.add();
-        metrics_.planstore_quarantined.add();
-        break;
-      case planstore::PlanStore::LoadResult::kMissing:
-        break;
-    }
+    if (load_stored(*store, scenario) == nullptr) continue;
+    metrics_.planstore_warm_hits.add();
+    ++warmed;
   }
   return warmed;
+}
+
+std::shared_ptr<const CachedPlan> Codec::load_stored(
+    planstore::PlanStore& store, const FailureScenario& scenario) {
+  std::shared_ptr<const CachedPlan> loaded;
+  switch (store.load(*code_, scenario, &loaded)) {
+    case planstore::PlanStore::LoadResult::kLoaded:
+      metrics_.planstore_loads.add();
+      return cache_.insert(plan_key(scenario), std::move(loaded));
+    case planstore::PlanStore::LoadResult::kRejected:
+      metrics_.planstore_load_failures.add();
+      metrics_.planstore_quarantined.add();
+      break;  // the bad record is gone; the caller rebuilds
+    case planstore::PlanStore::LoadResult::kMissing:
+      break;
+  }
+  return nullptr;
 }
 
 std::shared_ptr<CachedPlan> Codec::build_plan(
@@ -231,18 +236,7 @@ std::shared_ptr<const CachedPlan> Codec::plan_for(
   // is exactly as trustworthy as a built one.
   const auto store = store_ref();
   if (store != nullptr) {
-    std::shared_ptr<const CachedPlan> loaded;
-    switch (store->load(*code_, scenario, &loaded)) {
-      case planstore::PlanStore::LoadResult::kLoaded:
-        metrics_.planstore_loads.add();
-        return cache_.insert(key, std::move(loaded));
-      case planstore::PlanStore::LoadResult::kRejected:
-        metrics_.planstore_load_failures.add();
-        metrics_.planstore_quarantined.add();
-        break;  // fall through to rebuild; the bad record is gone
-      case planstore::PlanStore::LoadResult::kMissing:
-        break;
-    }
+    if (auto loaded = load_stored(*store, scenario)) return loaded;
   }
 
   // Build outside any lock. Concurrent missers may build the same plan;

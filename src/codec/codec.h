@@ -267,6 +267,10 @@ class Codec {
 
   /// Point-in-time copy of the attached store pointer.
   std::shared_ptr<planstore::PlanStore> store_ref() const;
+  // Zero-trust load of `scenario` from `store` into the plan cache,
+  // counting the outcome; nullptr when no sound record exists.
+  std::shared_ptr<const CachedPlan> load_stored(
+      planstore::PlanStore& store, const FailureScenario& scenario);
 
   const ErasureCode* code_;
   Options options_;

@@ -1,11 +1,10 @@
 #include "plan_store/plan_store.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
+#include <cinttypes>
+#include <cstdio>
 
 #include "analyze_hazard/hazard.h"
-#include "common/crc32.h"
 #include "optimize_xor/xoropt.h"
 #include "verify_plan/plan_verify.h"
 
@@ -13,8 +12,7 @@ namespace ppm::planstore {
 
 namespace {
 
-constexpr char kMagic[8] = {'P', 'P', 'M', 'P', 'L', 'A', 'N', '\0'};
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8;
+constexpr std::string_view kMagic = "PPMPLAN";
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
@@ -74,33 +72,21 @@ struct Reader {
 
   std::size_t remaining() const { return ok ? in.size() - pos : 0; }
 
-  std::uint8_t u8() {
-    if (remaining() < 1) {
-      ok = false;
-      return 0;
-    }
-    return in[pos++];
-  }
-
-  std::uint32_t u32() {
-    if (remaining() < 4) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{in[pos++]} << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (remaining() < 8) {
+  template <typename T>
+  T le() {
+    if (remaining() < sizeof(T)) {
       ok = false;
       return 0;
     }
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{in[pos++]} << (8 * i);
-    return v;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= std::uint64_t{in[pos++]} << (8 * i);
+    }
+    return static_cast<T>(v);
   }
+  std::uint8_t u8() { return le<std::uint8_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
 
   std::vector<std::size_t> index_vec() {
     const std::uint32_t count = u32();
@@ -182,9 +168,10 @@ std::optional<SubPlan> read_subplan(Reader& r, const gf::Field& f) {
                              std::move(*s), cost, source_blocks);
 }
 
-bool fail(std::string* error, const char* why) {
+// Sets the parse error, if requested, and rejects the record.
+std::nullopt_t reject(std::string* error, const char* why) {
   if (error != nullptr) *error = why;
-  return false;
+  return std::nullopt;
 }
 
 PlanProfile fresh_profile(const CachedPlan& plan,
@@ -199,21 +186,100 @@ PlanProfile fresh_profile(const CachedPlan& plan,
   return p;
 }
 
-std::string hex16(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
+std::string_view as_chars(std::span<const std::uint8_t> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
-}  // namespace
+// "sig<digest hex>": every record name of `code` starts with it.
+std::string sig_prefix(const ErasureCode& code) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "sig%016" PRIx64,
+                code.code_signature().digest);
+  return buf;
+}
 
-std::vector<std::uint8_t> serialize_plan(const ErasureCode& code,
-                                         const FailureScenario& scenario,
-                                         const CachedPlan& plan) {
+std::optional<StoredPlan> parse_payload(std::string_view bytes,
+                                        const ErasureCode& code,
+                                        std::string* error) {
+  Reader r{{reinterpret_cast<const std::uint8_t*>(bytes.data()),
+            bytes.size()},
+           0,
+           true};
+  const std::uint64_t digest = r.u64();
+  const std::uint32_t text_len = r.u32();
+  if (!r.ok || text_len > r.remaining()) {
+    return reject(error, "truncated signature");
+  }
+  r.pos += text_len;  // text is informational; the digest is the identity
+  const std::uint32_t w = r.u32();
+  const CodeSignature sig = code.code_signature();
+  if (!r.ok || digest != sig.digest || w != code.field().w()) {
+    return reject(error, "stale code signature");
+  }
+
+  const std::vector<std::size_t> faulty = r.index_vec();
+  if (!r.ok || faulty.empty() ||
+      !std::is_sorted(faulty.begin(), faulty.end()) ||
+      std::adjacent_find(faulty.begin(), faulty.end()) != faulty.end() ||
+      faulty.back() >= code.total_blocks()) {
+    return reject(error, "bad faulty set");
+  }
+
+  PlanProfile prof;
+  prof.cost = static_cast<std::size_t>(r.u64());
+  prof.work = static_cast<std::size_t>(r.u64());
+  prof.critical_path = static_cast<std::size_t>(r.u64());
+  prof.max_width = static_cast<std::size_t>(r.u64());
+  prof.hazard_free = r.u8() != 0;
+  prof.level_width = r.index_vec();
+
+  const std::uint32_t group_count = r.u32();
+  if (!r.ok || group_count > r.remaining()) {
+    return reject(error, "bad group count");
+  }
+  std::vector<SubPlan> groups;
+  groups.reserve(group_count);
+  for (std::uint32_t i = 0; i < group_count; ++i) {
+    auto sub = read_subplan(r, code.field());
+    if (!sub.has_value()) return reject(error, "bad group sub-plan");
+    groups.push_back(std::move(*sub));
+  }
+  std::optional<SubPlan> rest;
+  const std::uint8_t has_rest = r.u8();
+  if (!r.ok || has_rest > 1) return reject(error, "bad rest flag");
+  if (has_rest == 1) {
+    rest = read_subplan(r, code.field());
+    if (!rest.has_value()) return reject(error, "bad rest sub-plan");
+  }
+
+  const std::uint32_t sched_count = r.u32();
+  if (!r.ok || sched_count > r.remaining()) {
+    return reject(error, "bad schedule count");
+  }
+  std::vector<PlanSchedule> schedules;
+  schedules.reserve(sched_count);
+  for (std::uint32_t i = 0; i < sched_count; ++i) {
+    auto ps = read_schedule(r);
+    // The sub index must resolve to a sub-plan of THIS record (the value
+    // groups.size() is the rest plan, valid only when one exists).
+    if (!ps.has_value() || ps->sub > group_count ||
+        (ps->sub == group_count && has_rest == 0)) {
+      return reject(error, "bad optimized schedule");
+    }
+    schedules.push_back(std::move(*ps));
+  }
+
+  if (!r.ok || r.remaining() != 0) return reject(error, "trailing bytes");
+
+  StoredPlan stored{FailureScenario(faulty),
+                    CachedPlan::assemble(std::move(groups), std::move(rest)),
+                    std::move(prof), std::move(schedules)};
+  return stored;
+}
+
+std::vector<std::uint8_t> plan_payload(const ErasureCode& code,
+                                       const FailureScenario& scenario,
+                                       const CachedPlan& plan) {
   const CodeSignature sig = code.code_signature();
   std::vector<std::uint8_t> payload;
   payload.reserve(1024);
@@ -239,144 +305,40 @@ std::vector<std::uint8_t> serialize_plan(const ErasureCode& code,
   put_u32(payload, static_cast<std::uint32_t>(plan.schedules().size()));
   for (const PlanSchedule& ps : plan.schedules()) put_schedule(payload, ps);
 
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size());
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u32(out, kFormatVersion);
-  put_u32(out, crc32(payload.data(), payload.size()));
-  put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  return payload;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> serialize_plan(const ErasureCode& code,
+                                         const FailureScenario& scenario,
+                                         const CachedPlan& plan) {
+  const std::vector<std::uint8_t> payload = plan_payload(code, scenario, plan);
+  const std::string record = seal(kMagic, kFormatVersion, as_chars(payload));
+  return {record.begin(), record.end()};
 }
 
 std::optional<StoredPlan> deserialize_plan(std::span<const std::uint8_t> bytes,
                                            const ErasureCode& code,
                                            std::string* error) {
-  if (bytes.size() < kHeaderBytes) {
-    fail(error, "truncated header");
+  std::string_view payload;
+  if (!unseal(as_chars(bytes), kMagic, kFormatVersion, &payload, error)) {
     return std::nullopt;
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
-    fail(error, "bad magic");
-    return std::nullopt;
-  }
-  Reader hdr{bytes.subspan(sizeof kMagic), 0, true};
-  const std::uint32_t version = hdr.u32();
-  const std::uint32_t crc = hdr.u32();
-  const std::uint64_t payload_len = hdr.u64();
-  if (version != kFormatVersion) {
-    fail(error, "format version mismatch");
-    return std::nullopt;
-  }
-  if (payload_len != bytes.size() - kHeaderBytes) {
-    fail(error, "payload length mismatch");
-    return std::nullopt;
-  }
-  const std::span<const std::uint8_t> payload = bytes.subspan(kHeaderBytes);
-  if (crc32(payload.data(), payload.size()) != crc) {
-    fail(error, "CRC mismatch");
-    return std::nullopt;
-  }
-
-  Reader r{payload, 0, true};
-  const std::uint64_t digest = r.u64();
-  const std::uint32_t text_len = r.u32();
-  if (!r.ok || text_len > r.remaining()) {
-    fail(error, "truncated signature");
-    return std::nullopt;
-  }
-  r.pos += text_len;  // text is informational; the digest is the identity
-  const std::uint32_t w = r.u32();
-  const CodeSignature sig = code.code_signature();
-  if (!r.ok || digest != sig.digest || w != code.field().w()) {
-    fail(error, "stale code signature");
-    return std::nullopt;
-  }
-
-  const std::vector<std::size_t> faulty = r.index_vec();
-  if (!r.ok || faulty.empty() ||
-      !std::is_sorted(faulty.begin(), faulty.end()) ||
-      std::adjacent_find(faulty.begin(), faulty.end()) != faulty.end() ||
-      faulty.back() >= code.total_blocks()) {
-    fail(error, "bad faulty set");
-    return std::nullopt;
-  }
-
-  PlanProfile prof;
-  prof.cost = static_cast<std::size_t>(r.u64());
-  prof.work = static_cast<std::size_t>(r.u64());
-  prof.critical_path = static_cast<std::size_t>(r.u64());
-  prof.max_width = static_cast<std::size_t>(r.u64());
-  prof.hazard_free = r.u8() != 0;
-  prof.level_width = r.index_vec();
-
-  const std::uint32_t group_count = r.u32();
-  if (!r.ok || group_count > r.remaining()) {
-    fail(error, "bad group count");
-    return std::nullopt;
-  }
-  std::vector<SubPlan> groups;
-  groups.reserve(group_count);
-  for (std::uint32_t i = 0; i < group_count; ++i) {
-    auto sub = read_subplan(r, code.field());
-    if (!sub.has_value()) {
-      fail(error, "bad group sub-plan");
-      return std::nullopt;
-    }
-    groups.push_back(std::move(*sub));
-  }
-  std::optional<SubPlan> rest;
-  const std::uint8_t has_rest = r.u8();
-  if (!r.ok || has_rest > 1) {
-    fail(error, "bad rest flag");
-    return std::nullopt;
-  }
-  if (has_rest == 1) {
-    rest = read_subplan(r, code.field());
-    if (!rest.has_value()) {
-      fail(error, "bad rest sub-plan");
-      return std::nullopt;
-    }
-  }
-
-  const std::uint32_t sched_count = r.u32();
-  if (!r.ok || sched_count > r.remaining()) {
-    fail(error, "bad schedule count");
-    return std::nullopt;
-  }
-  std::vector<PlanSchedule> schedules;
-  schedules.reserve(sched_count);
-  for (std::uint32_t i = 0; i < sched_count; ++i) {
-    auto ps = read_schedule(r);
-    // The sub index must resolve to a sub-plan of THIS record (the value
-    // groups.size() is the rest plan, valid only when one exists).
-    if (!ps.has_value() || ps->sub > group_count ||
-        (ps->sub == group_count && has_rest == 0)) {
-      fail(error, "bad optimized schedule");
-      return std::nullopt;
-    }
-    schedules.push_back(std::move(*ps));
-  }
-
-  if (!r.ok || r.remaining() != 0) {
-    fail(error, "trailing bytes");
-    return std::nullopt;
-  }
-
-  StoredPlan stored{FailureScenario(faulty),
-                    CachedPlan::assemble(std::move(groups), std::move(rest)),
-                    std::move(prof), std::move(schedules)};
-  return stored;
+  return parse_payload(payload, code, error);
 }
 
 PlanStore::PlanStore(std::filesystem::path directory)
-    : dir_(std::move(directory)) {
-  std::filesystem::create_directories(dir_);
+    : dir_(std::move(directory), std::string(kMagic), kFormatVersion,
+           ".plan") {
+  // SealedDir never throws; this store's contract is to throw when the
+  // directory cannot be created.
+  std::filesystem::create_directories(dir_.directory());
 }
 
 std::string PlanStore::record_filename(const ErasureCode& code,
                                        const FailureScenario& scenario) {
-  std::string name = "sig" + hex16(code.code_signature().digest) + "-f";
+  std::string name = sig_prefix(code) + "-f";
   bool first = true;
   for (const std::size_t b : scenario.faulty()) {
     if (!first) name += '_';
@@ -388,136 +350,72 @@ std::string PlanStore::record_filename(const ErasureCode& code,
 
 bool PlanStore::put(const ErasureCode& code, const FailureScenario& scenario,
                     const CachedPlan& plan) try {
-  const std::vector<std::uint8_t> bytes =
-      serialize_plan(code, scenario, plan);
+  const std::vector<std::uint8_t> payload =
+      plan_payload(code, scenario, plan);
   const std::scoped_lock lock(mutex_);
-  const std::filesystem::path target =
-      dir_ / record_filename(code, scenario);
-  const std::filesystem::path tmp = target.string() + ".tmp";
-  std::error_code ec;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) return false;
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    // Force the bytes out and re-check: a short write (disk full) must
-    // surface here, before the record can be published under its real
-    // name. A failed or partial .tmp is removed — readers never see it
-    // (load paths ignore .tmp) and gc() sweeps any crash leftovers.
-    out.flush();
-    const bool wrote = out.good();
-    out.close();
-    if (!wrote || out.fail()) {
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, target, ec);  // atomic publish
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
+  return dir_.publish(record_filename(code, scenario), as_chars(payload));
 } catch (...) {
-  // put() sits on the decode path's write-through; serialization or
-  // filesystem surprises must degrade to "not persisted", never throw
-  // into a decode. The caller counts planstore.store_failures.
+  // put() sits on the decode path's write-through; serialization
+  // surprises must degrade to "not persisted", never throw into a
+  // decode. The caller counts planstore.store_failures.
   return false;
 }
 
-void PlanStore::quarantine(const std::filesystem::path& path) {
-  std::error_code ec;
-  std::filesystem::rename(path, path.string() + ".quarantined", ec);
-  if (ec) std::filesystem::remove(path, ec);  // rename failed: fail closed
-}
-
-PlanStore::LoadResult PlanStore::load_file(
-    const std::filesystem::path& path, const ErasureCode& code,
-    const FailureScenario* expected, std::shared_ptr<const CachedPlan>* out,
-    FailureScenario* scenario_out, std::string* why) {
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) return LoadResult::kMissing;
-    in.seekg(0, std::ios::end);
-    const std::streamoff size = in.tellg();
-    in.seekg(0, std::ios::beg);
-    bytes.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-    if (!bytes.empty()) {
-      in.read(reinterpret_cast<char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+SealedDir::Accept PlanStore::reprove(const ErasureCode& code,
+                                     const FailureScenario* expected,
+                                     std::shared_ptr<const CachedPlan>* out,
+                                     FailureScenario* scenario_out) {
+  return [&code, expected, out, scenario_out](std::string_view payload,
+                                              std::string* why) {
+    const auto fail = [why](std::string reason) {
+      *why = std::move(reason);
+      return false;
+    };
+    std::string parse_error;
+    auto stored = parse_payload(payload, code, &parse_error);
+    if (!stored.has_value()) return fail("parse: " + parse_error);
+    if (expected != nullptr && !(stored->scenario == *expected)) {
+      return fail("record key does not match its contents");
     }
-    if (!in.good() && !bytes.empty()) {
-      quarantine(path);
-      if (why != nullptr) *why = "unreadable record";
-      return LoadResult::kRejected;
-    }
-  }
 
-  std::string parse_error;
-  auto stored = deserialize_plan(bytes, code, &parse_error);
-  if (!stored.has_value()) {
-    quarantine(path);
-    if (why != nullptr) *why = "parse: " + parse_error;
-    return LoadResult::kRejected;
-  }
-  if (expected != nullptr && !(stored->scenario == *expected)) {
-    quarantine(path);
-    if (why != nullptr) *why = "record key does not match its contents";
-    return LoadResult::kRejected;
-  }
-
-  // Zero trust: re-prove the plan exactly as if it had just been built.
-  const auto verdict =
-      planverify::verify_plan(code, stored->scenario, stored->plan);
-  if (!verdict.ok()) {
-    quarantine(path);
-    if (why != nullptr) {
-      *why = "planverify: " + planverify::to_json(verdict.violations);
+    // Zero trust: re-prove the plan exactly as if it had just been built.
+    const auto verdict =
+        planverify::verify_plan(code, stored->scenario, stored->plan);
+    if (!verdict.ok()) {
+      return fail("planverify: " + planverify::to_json(verdict.violations));
     }
-    return LoadResult::kRejected;
-  }
-  const auto analysis = hazard::analyze_plan(stored->plan);
-  if (!analysis.ok()) {
-    quarantine(path);
-    if (why != nullptr) {
-      *why = "hazard: " + planverify::to_json(analysis.violations);
+    const auto analysis = hazard::analyze_plan(stored->plan);
+    if (!analysis.ok()) {
+      return fail("hazard: " + planverify::to_json(analysis.violations));
     }
-    return LoadResult::kRejected;
-  }
-  const PlanProfile fresh = fresh_profile(stored->plan, analysis);
-  if (!(fresh == stored->stored_profile)) {
-    quarantine(path);
-    if (why != nullptr) *why = "stored profile disagrees with re-analysis";
-    return LoadResult::kRejected;
-  }
+    const PlanProfile fresh = fresh_profile(stored->plan, analysis);
+    if (!(fresh == stored->stored_profile)) {
+      return fail("stored profile disagrees with re-analysis");
+    }
 
-  // Optimized XOR schedules get the same zero trust as the plan itself:
-  // each one must re-prove — symbolic GF(2) replay against its sub-plan's
-  // applied matrix plus hazard re-analysis — before it is attached. A
-  // single failed proof condemns the record; the rebuilt plan simply
-  // re-optimizes from scratch.
-  for (const PlanSchedule& ps : stored->schedules) {
-    const SubPlan& sub = ps.sub < stored->plan.groups().size()
-                             ? stored->plan.groups()[ps.sub]
-                             : *stored->plan.rest();
-    const Matrix& applied =
-        sub.sequence() == Sequence::kMatrixFirst ? sub.finv() : sub.s();
-    const auto violations = xoropt::prove(applied, ps.schedule);
-    if (!violations.empty()) {
-      quarantine(path);
-      if (why != nullptr) {
-        *why = "schedule re-proof: " + planverify::to_json(violations);
+    // Optimized XOR schedules get the same zero trust as the plan itself:
+    // each one must re-prove — symbolic GF(2) replay against its
+    // sub-plan's applied matrix plus hazard re-analysis — before it is
+    // attached. A single failed proof condemns the record; the rebuilt
+    // plan simply re-optimizes from scratch.
+    for (const PlanSchedule& ps : stored->schedules) {
+      const SubPlan& sub = ps.sub < stored->plan.groups().size()
+                               ? stored->plan.groups()[ps.sub]
+                               : *stored->plan.rest();
+      const Matrix& applied =
+          sub.sequence() == Sequence::kMatrixFirst ? sub.finv() : sub.s();
+      const auto violations = xoropt::prove(applied, ps.schedule);
+      if (!violations.empty()) {
+        return fail("schedule re-proof: " + planverify::to_json(violations));
       }
-      return LoadResult::kRejected;
     }
-  }
-  stored->plan.schedules_ = std::move(stored->schedules);
-
-  stored->plan.profile_ = fresh;  // install the RECOMPUTED profile
-  if (scenario_out != nullptr) *scenario_out = stored->scenario;
-  *out = std::make_shared<const CachedPlan>(std::move(stored->plan));
-  return LoadResult::kLoaded;
+    if (out == nullptr) return true;
+    stored->plan.schedules_ = std::move(stored->schedules);
+    stored->plan.profile_ = fresh;  // install the RECOMPUTED profile
+    if (scenario_out != nullptr) *scenario_out = stored->scenario;
+    *out = std::make_shared<const CachedPlan>(std::move(stored->plan));
+    return true;
+  };
 }
 
 PlanStore::LoadResult PlanStore::load(const ErasureCode& code,
@@ -525,126 +423,40 @@ PlanStore::LoadResult PlanStore::load(const ErasureCode& code,
                                       std::shared_ptr<const CachedPlan>* out,
                                       std::string* why) {
   const std::scoped_lock lock(mutex_);
-  return load_file(dir_ / record_filename(code, scenario), code, &scenario,
-                   out, nullptr, why);
+  return dir_.load(dir_.directory() / record_filename(code, scenario),
+                   reprove(code, &scenario, out, nullptr), why);
 }
 
 PlanStore::BulkLoad PlanStore::load_all(const ErasureCode& code) {
-  const std::string prefix = "sig" + hex16(code.code_signature().digest);
   BulkLoad result;
   const std::scoped_lock lock(mutex_);
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 5 || name.substr(name.size() - 5) != ".plan") continue;
-    if (name.rfind(prefix, 0) != 0) continue;  // another code's record
-    paths.push_back(entry.path());
-  }
-  std::sort(paths.begin(), paths.end());
-  for (const auto& path : paths) {
+  for (const auto& path : dir_.records(sig_prefix(code))) {
     std::shared_ptr<const CachedPlan> plan;
     FailureScenario scenario;
-    switch (load_file(path, code, nullptr, &plan, &scenario, nullptr)) {
-      case LoadResult::kLoaded:
-        result.plans.emplace_back(std::move(scenario), std::move(plan));
-        break;
-      case LoadResult::kMissing:
-        break;  // raced with an external remove; nothing to count
-      case LoadResult::kRejected:
-        ++result.rejected;
-        break;
+    const LoadResult loaded =
+        dir_.load(path, reprove(code, nullptr, &plan, &scenario));
+    if (loaded == LoadResult::kLoaded) {
+      result.plans.emplace_back(std::move(scenario), std::move(plan));
     }
+    if (loaded == LoadResult::kRejected) ++result.rejected;
   }
   return result;
 }
 
 std::vector<PlanStore::Entry> PlanStore::list() const {
-  std::vector<Entry> entries;
   const std::scoped_lock lock(mutex_);
-  for (const auto& item : std::filesystem::directory_iterator(dir_)) {
-    if (!item.is_regular_file()) continue;
-    const std::string name = item.path().filename().string();
-    const bool plan = name.ends_with(".plan");
-    const bool quarantined = name.ends_with(".quarantined");
-    if (!plan && !quarantined) continue;
-    std::error_code ec;
-    const std::uintmax_t bytes = std::filesystem::file_size(item.path(), ec);
-    entries.push_back(Entry{name, ec ? 0 : bytes, quarantined});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.filename < b.filename;
-            });
-  return entries;
+  return dir_.list();
 }
 
 PlanStore::CheckReport PlanStore::check(const ErasureCode& code) {
-  const std::string prefix = "sig" + hex16(code.code_signature().digest);
-  CheckReport report;
   const std::scoped_lock lock(mutex_);
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (!name.ends_with(".plan")) continue;
-    if (name.rfind(prefix, 0) != 0) continue;
-    paths.push_back(entry.path());
-  }
-  std::sort(paths.begin(), paths.end());
-  for (const auto& path : paths) {
-    ++report.checked;
-    std::shared_ptr<const CachedPlan> plan;
-    switch (load_file(path, code, nullptr, &plan, nullptr, nullptr)) {
-      case LoadResult::kLoaded:
-        ++report.verified;
-        break;
-      case LoadResult::kRejected:
-        ++report.quarantined;
-        break;
-      case LoadResult::kMissing:
-        --report.checked;  // raced with an external remove
-        break;
-    }
-  }
-  return report;
+  return dir_.check(sig_prefix(code),
+                    reprove(code, nullptr, nullptr, nullptr));
 }
 
 PlanStore::GcReport PlanStore::gc(std::size_t keep_quarantined) {
-  GcReport report;
   const std::scoped_lock lock(mutex_);
-  std::vector<std::filesystem::path> quarantined;
-  std::vector<std::filesystem::path> doomed_tmp;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.ends_with(".quarantined")) {
-      quarantined.push_back(entry.path());
-    } else if (name.ends_with(".tmp")) {
-      doomed_tmp.push_back(entry.path());
-    }
-  }
-  // Age out quarantined files newest-first (write time, then name) so a
-  // bounded forensic window survives repeated gc passes.
-  std::sort(quarantined.begin(), quarantined.end(),
-            [](const std::filesystem::path& a, const std::filesystem::path& b) {
-              std::error_code ta_ec;
-              std::error_code tb_ec;
-              const auto ta = std::filesystem::last_write_time(a, ta_ec);
-              const auto tb = std::filesystem::last_write_time(b, tb_ec);
-              if (ta != tb) return ta > tb;
-              return a.filename().string() > b.filename().string();
-            });
-  std::error_code ec;
-  for (std::size_t i = keep_quarantined; i < quarantined.size(); ++i) {
-    if (std::filesystem::remove(quarantined[i], ec)) {
-      ++report.removed_quarantined;
-    }
-  }
-  for (const auto& path : doomed_tmp) {
-    if (std::filesystem::remove(path, ec)) ++report.removed_tmp;
-  }
-  return report;
+  return dir_.gc(keep_quarantined);
 }
 
 }  // namespace ppm::planstore

@@ -8,23 +8,11 @@
 // can warm its sharded plan cache from disk instead of rebuilding, and a
 // fleet can share one precomputed plan space.
 //
-// Record format (all integers little-endian):
-//
-//   header   magic "PPMPLAN\0" (8) | format version u32 | payload CRC32
-//            u32 | payload length u64
-//   payload  code-signature digest u64 | signature text (u32 len + bytes)
-//            | field width u32 | faulty set (u32 count + u64 ids)
-//            | PlanProfile (cost/work/critical_path/max_width u64,
-//              hazard_free u8, level widths u32 count + u64 each)
-//            | group count u32 | per sub-plan: sequence u8, unknowns /
-//              survivors / check rows (u32 count + u64 each), F⁻¹ and S
-//              matrices (u32 rows, u32 cols, u32 per element), cost u64,
-//              source_blocks u64
-//            | has_rest u8 [| rest sub-plan]
-//            | schedule count u32 | per optimized XOR schedule: sub index
-//              u32 (groups().size() = rest), temps u64, naive_ops u64, op
-//              count u32, per op: flags u8 (bit0 from_output, bit1
-//              overwrite), source u64, target u64
+// Record format: one sealed record per plan (common/sealed_dir.h), a
+// "PPMPLAN <version> <crc32 hex> <len>\n" header over a little-endian
+// binary payload — identity (code-signature digest and text, field
+// width, faulty set), the PlanProfile, every sub-plan, then the
+// optimized XOR schedules. docs/PLAN_STORE.md §2 lays it out by field.
 //
 // ZERO-TRUST LOAD CONTRACT: bytes from disk are never executed on faith.
 // Every load re-proves the record — CRC + structural parse with bounds
@@ -36,17 +24,16 @@
 // (symbolic GF(2) replay against the sub-plan's applied matrix + hazard
 // re-analysis) before it is attached — a schedule proof failure
 // quarantines the whole record. A record failing ANY step is quarantined
-// — renamed to
-// "<name>.quarantined", never served, never deleted silently — and the
-// caller rebuilds from the code itself. docs/PLAN_STORE.md documents the
-// format and the contract; `ppm_cli store {build,ls,check,gc}` operates
-// stores offline.
+// — renamed to "<name>.quarantined" (removed if that rename fails), never
+// served — and the caller rebuilds from the code itself.
+// docs/PLAN_STORE.md documents the format and the contract; `ppm_cli
+// store {build,ls,check,gc}` operates stores offline.
 //
 // Thread-safety: all public methods are safe to call concurrently; file
 // operations serialize on one internal mutex (loads and stores are rare
 // — cache misses and warms — so a single lock is not a bottleneck).
-// Cross-process safety comes from atomic write-rename: readers only ever
-// observe complete records.
+// Cross-process safety comes from the durable write-rename publish:
+// readers only ever observe complete records.
 #pragma once
 
 #include <cstddef>
@@ -62,17 +49,18 @@
 
 #include "codec/codec.h"
 #include "codes/erasure_code.h"
+#include "common/sealed_dir.h"
 #include "decode/scenario.h"
 
 namespace ppm::planstore {
 
 /// On-disk format version; bumped on any layout change. Records with a
 /// different version never parse (they quarantine and rebuild). v2 added
-/// the optimized-XOR-schedule section.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// the optimized-XOR-schedule section; v3 moved to the shared text seal.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
-/// Serialize one verified plan into a self-contained record (header +
-/// payload, see the format comment above).
+/// Serialize one verified plan into a self-contained sealed record (see
+/// the format comment above).
 std::vector<std::uint8_t> serialize_plan(const ErasureCode& code,
                                          const FailureScenario& scenario,
                                          const CachedPlan& plan);
@@ -108,20 +96,18 @@ class PlanStore {
   /// created.
   explicit PlanStore(std::filesystem::path directory);
 
-  const std::filesystem::path& directory() const { return dir_; }
+  const std::filesystem::path& directory() const { return dir_.directory(); }
 
-  /// Serialize `plan` and persist it atomically (write to a temporary
-  /// name, then rename). Overwrites an existing record for the same key.
-  /// Returns false on I/O failure (the store is best-effort durable; the
-  /// caller's in-memory plan is unaffected).
+  /// Serialize `plan` and publish it durably (SealedDir::publish).
+  /// Overwrites an existing record for the same key. Returns false on
+  /// I/O failure (the caller's in-memory plan is unaffected).
   bool put(const ErasureCode& code, const FailureScenario& scenario,
            const CachedPlan& plan);
 
-  enum class LoadResult {
-    kLoaded,    ///< record re-proved sound; *out is the verified plan
-    kMissing,   ///< no record for this key
-    kRejected,  ///< record failed the zero-trust gate and was quarantined
-  };
+  /// kLoaded: re-proved sound, *out is the verified plan; kMissing: no
+  /// record for this key; kRejected: failed the zero-trust gate and was
+  /// quarantined.
+  using LoadResult = SealedDir::LoadResult;
 
   /// Zero-trust load of the record for (code, scenario): parse, then
   /// planverify::verify_plan + hazard::analyze_plan + profile cross-check.
@@ -139,31 +125,18 @@ class PlanStore {
   };
   BulkLoad load_all(const ErasureCode& code);
 
-  /// One store entry as seen on disk (no verification).
-  struct Entry {
-    std::string filename;
-    std::uintmax_t bytes = 0;
-    bool quarantined = false;
-  };
+  using Entry = SealedDir::Entry;
   /// Every record and quarantined file in the store, sorted by name.
   std::vector<Entry> list() const;
 
   /// Re-verify every record for `code` through the zero-trust gate.
-  struct CheckReport {
-    std::size_t checked = 0;      ///< records examined
-    std::size_t verified = 0;     ///< records that re-proved sound
-    std::size_t quarantined = 0;  ///< records renamed aside
-  };
+  using CheckReport = SealedDir::CheckReport;
   CheckReport check(const ErasureCode& code);
 
-  /// Remove quarantined records and orphaned temporaries. Healthy records
-  /// are never touched. The newest `keep_quarantined` quarantined files
-  /// (by last write time, names breaking ties) are retained for
-  /// forensics; the default 0 removes them all.
-  struct GcReport {
-    std::size_t removed_quarantined = 0;
-    std::size_t removed_tmp = 0;
-  };
+  /// Remove orphaned temporaries and all but the newest
+  /// `keep_quarantined` quarantined files (SealedDir::gc); healthy
+  /// records are never touched.
+  using GcReport = SealedDir::GcReport;
   GcReport gc(std::size_t keep_quarantined = 0);
 
   /// Canonical record file name for a key.
@@ -171,14 +144,14 @@ class PlanStore {
                                      const FailureScenario& scenario);
 
  private:
-  LoadResult load_file(const std::filesystem::path& path,
-                       const ErasureCode& code,
-                       const FailureScenario* expected,
-                       std::shared_ptr<const CachedPlan>* out,
-                       FailureScenario* scenario_out, std::string* why);
-  void quarantine(const std::filesystem::path& path);
+  // The zero-trust gate for one payload (format comment above). On
+  // success, when `out` is non-null, installs the re-proved plan there.
+  static SealedDir::Accept reprove(const ErasureCode& code,
+                                   const FailureScenario* expected,
+                                   std::shared_ptr<const CachedPlan>* out,
+                                   FailureScenario* scenario_out);
 
-  std::filesystem::path dir_;
+  SealedDir dir_;
   mutable std::mutex mutex_;
 };
 

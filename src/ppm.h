@@ -39,6 +39,7 @@
 #include "common/crc32.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/sealed_dir.h"
 #include "common/sharded_lru.h"
 #include "common/timer.h"
 #include "decode/block_parallel_decoder.h"

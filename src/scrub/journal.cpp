@@ -4,54 +4,18 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "common/crc32.h"
 #include "common/metrics.h"
 
 namespace ppm::scrub {
 namespace {
 
-constexpr const char* kMagic = "PPMSCRUBJ";
 constexpr std::uint64_t kFormatVersion = 1;
-constexpr const char* kRecordSuffix = ".scrubj";
-constexpr const char* kQuarantineSuffix = ".quarantined";
-constexpr const char* kTmpSuffix = ".tmp";
 // Parse cap on list lengths: no stripe has this many blocks; a record
 // claiming more is hostile or rotten, not big.
 constexpr std::size_t kMaxBlocks = 1u << 20;
-
-bool read_file(const std::filesystem::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return in.good() || in.eof();
-}
-
-// Splits "PPMSCRUBJ <version> <crc32 hex> <len>\n<payload>" and checks
-// the seal.
-bool unseal(const std::string& raw, std::string* payload) {
-  const std::size_t nl = raw.find('\n');
-  if (nl == std::string::npos) return false;
-  const std::string header = raw.substr(0, nl);
-  char magic[16] = {};
-  std::uint64_t version = 0;
-  std::uint64_t crc = 0;
-  std::uint64_t len = 0;
-  if (std::sscanf(header.c_str(), "%15s %" SCNu64 " %" SCNx64 " %" SCNu64,
-                  magic, &version, &crc, &len) != 4 ||
-      std::string(magic) != kMagic) {
-    return false;
-  }
-  if (version != kFormatVersion) return false;
-  *payload = raw.substr(nl + 1);
-  if (payload->size() != len) return false;
-  return crc32(payload->data(), payload->size()) == crc;
-}
 
 std::string serialize(const JournalRecord& record) {
   std::string out;
@@ -79,8 +43,8 @@ std::string serialize(const JournalRecord& record) {
 // Bounds-checked parse of an unsealed payload. The seal already proved
 // integrity; this proves *shape* — nothing read here is trusted to be
 // well-formed.
-bool parse(const std::string& payload, JournalRecord* out) {
-  std::istringstream in(payload);
+bool parse(std::string_view payload, JournalRecord* out) {
+  std::istringstream in{std::string(payload)};
   std::string line;
   bool have_seq = false;
   bool have_state = false;
@@ -131,15 +95,13 @@ bool parse(const std::string& payload, JournalRecord* out) {
 }  // namespace
 
 RepairJournal::RepairJournal(std::filesystem::path directory)
-    : dir_(std::move(directory)) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
+    : dir_(std::move(directory), "PPMSCRUBJ", kFormatVersion, ".scrubj",
+           [] { scrub_metrics().journal_quarantined.add(); }) {
   // Resume the sequence past everything on disk — including quarantined
   // files, so a rebuilt record can never collide with crash evidence.
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
+  for (const Entry& entry : dir_.list()) {
     std::uint64_t seq = 0;
-    if (std::sscanf(name.c_str(), "rep-%016" SCNx64, &seq) == 1 &&
+    if (std::sscanf(entry.filename.c_str(), "rep-%016" SCNx64, &seq) == 1 &&
         seq >= next_seq_) {
       next_seq_ = seq + 1;
     }
@@ -161,48 +123,8 @@ std::string RepairJournal::sanitize(const std::string& stripe_id) {
 
 std::string RepairJournal::record_filename(std::uint64_t seq) {
   char buf[48];
-  std::snprintf(buf, sizeof buf, "rep-%016" PRIx64 "%s", seq, kRecordSuffix);
+  std::snprintf(buf, sizeof buf, "rep-%016" PRIx64 ".scrubj", seq);
   return buf;
-}
-
-std::filesystem::path RepairJournal::record_path(std::uint64_t seq) const {
-  return dir_ / record_filename(seq);
-}
-
-bool RepairJournal::write_record(const JournalRecord& record) try {
-  const std::string payload = serialize(record);
-  char header[64];
-  std::snprintf(header, sizeof header, "%s %" PRIu64 " %08" PRIx64 " %zu\n",
-                kMagic, kFormatVersion,
-                static_cast<std::uint64_t>(
-                    crc32(payload.data(), payload.size())),
-                payload.size());
-  const std::filesystem::path path = record_path(record.seq);
-  const std::filesystem::path tmp = path.string() + kTmpSuffix;
-  bool written = false;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out << header << payload;
-      out.flush();
-      written = out.good();
-    }
-  }
-  std::error_code ec;
-  if (!written) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
-} catch (...) {
-  // The repair path is a serving path: journal I/O failures are counted,
-  // never thrown.
-  return false;
 }
 
 std::optional<std::uint64_t> RepairJournal::begin(
@@ -210,13 +132,8 @@ std::optional<std::uint64_t> RepairJournal::begin(
     const std::vector<std::uint32_t>& crc) {
   if (blocks.size() != crc.size()) return std::nullopt;
   const std::lock_guard<std::mutex> lock(mutex_);
-  JournalRecord record;
-  record.seq = next_seq_;
-  record.stripe_id = RepairJournal::sanitize(stripe_id);
-  record.committed = false;
-  record.blocks = blocks;
-  record.crc = crc;
-  if (!write_record(record)) {
+  JournalRecord record{next_seq_, sanitize(stripe_id), false, blocks, crc};
+  if (!dir_.publish(record_filename(record.seq), serialize(record))) {
     scrub_metrics().journal_store_failures.add();
     return std::nullopt;
   }
@@ -238,7 +155,7 @@ bool RepairJournal::commit(std::uint64_t seq,
   record.committed = true;
   record.blocks = repaired;
   record.crc = crc;
-  if (!write_record(record)) {
+  if (!dir_.publish(record_filename(record.seq), serialize(record))) {
     scrub_metrics().journal_store_failures.add();
     return false;
   }
@@ -250,25 +167,16 @@ bool RepairJournal::commit(std::uint64_t seq,
 std::vector<JournalRecord> RepairJournal::load_all() {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<JournalRecord> records;
-  std::vector<std::filesystem::path> doomed;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!name.ends_with(kRecordSuffix)) continue;
-    std::string raw;
-    std::string payload;
-    JournalRecord record;
-    if (!read_file(entry.path(), &raw) || !unseal(raw, &payload) ||
-        !parse(payload, &record)) {
-      doomed.push_back(entry.path());
-      continue;
-    }
-    records.push_back(std::move(record));
-  }
-  for (const auto& path : doomed) {
-    std::error_code rn;
-    std::filesystem::rename(path, path.string() + kQuarantineSuffix, rn);
-    scrub_metrics().journal_quarantined.add();
+  for (const auto& path : dir_.records()) {
+    dir_.load(path, [&records](std::string_view payload, std::string* why) {
+      JournalRecord record;
+      if (!parse(payload, &record)) {
+        *why = "malformed journal record";
+        return false;
+      }
+      records.push_back(std::move(record));
+      return true;
+    });
   }
   std::sort(records.begin(), records.end(),
             [](const JournalRecord& a, const JournalRecord& b) {
@@ -279,87 +187,26 @@ std::vector<JournalRecord> RepairJournal::load_all() {
 
 bool RepairJournal::quarantine(std::uint64_t seq) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::filesystem::path path = record_path(seq);
-  std::error_code ec;
-  std::filesystem::rename(path, path.string() + kQuarantineSuffix, ec);
-  if (ec) return false;
   pending_.erase(seq);
-  scrub_metrics().journal_quarantined.add();
-  return true;
+  return dir_.quarantine(dir_.directory() / record_filename(seq));
 }
 
 std::vector<RepairJournal::Entry> RepairJournal::list() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Entry> entries;
-  std::error_code ec;
-  for (const auto& de : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!de.is_regular_file()) continue;
-    Entry entry;
-    entry.filename = de.path().filename().string();
-    std::error_code sz;
-    entry.bytes = de.file_size(sz);
-    entry.quarantined = entry.filename.ends_with(kQuarantineSuffix);
-    entries.push_back(std::move(entry));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.filename < b.filename;
-            });
-  return entries;
+  return dir_.list();
 }
 
 RepairJournal::GcReport RepairJournal::gc(std::size_t keep_quarantined) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  GcReport report;
-  std::vector<std::filesystem::path> committed;
-  std::vector<std::filesystem::path> quarantined;
-  std::vector<std::filesystem::path> tmp;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.ends_with(kQuarantineSuffix)) {
-      quarantined.push_back(entry.path());
-    } else if (name.ends_with(kTmpSuffix)) {
-      tmp.push_back(entry.path());
-    } else if (name.ends_with(kRecordSuffix)) {
-      // Only *verified* committed records are collectable; intents (and
-      // anything unreadable) stay for replay to deal with.
-      std::string raw;
-      std::string payload;
-      JournalRecord record;
-      if (read_file(entry.path(), &raw) && unseal(raw, &payload) &&
-          parse(payload, &record) && record.committed) {
-        committed.push_back(entry.path());
-      }
-    }
-  }
-  for (const auto& path : committed) {
-    std::error_code rm;
-    if (std::filesystem::remove(path, rm)) ++report.removed_committed;
-  }
-  // Age out quarantined files, newest first by write time (ties broken
-  // by name so the order is total).
-  std::sort(quarantined.begin(), quarantined.end(),
-            [](const std::filesystem::path& a, const std::filesystem::path& b) {
-              std::error_code ta_ec;
-              std::error_code tb_ec;
-              const auto ta = std::filesystem::last_write_time(a, ta_ec);
-              const auto tb = std::filesystem::last_write_time(b, tb_ec);
-              if (ta != tb) return ta > tb;
-              return a.filename().string() > b.filename().string();
-            });
-  for (std::size_t i = keep_quarantined; i < quarantined.size(); ++i) {
-    std::error_code rm;
-    if (std::filesystem::remove(quarantined[i], rm)) {
-      ++report.removed_quarantined;
-    }
-  }
-  for (const auto& path : tmp) {
-    std::error_code rm;
-    if (std::filesystem::remove(path, rm)) ++report.removed_tmp;
-  }
-  return report;
+  // Only verified committed records are collectable; intents (and
+  // anything unreadable) stay for replay to deal with.
+  const SealedDir::GcReport swept =
+      dir_.gc(keep_quarantined, [](std::string_view payload) {
+        JournalRecord record;
+        return parse(payload, &record) && record.committed;
+      });
+  return GcReport{swept.removed_records, swept.removed_quarantined,
+                  swept.removed_tmp};
 }
 
 }  // namespace ppm::scrub

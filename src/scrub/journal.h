@@ -1,4 +1,4 @@
-// Crash-consistent write-ahead repair journal (ppm::scrub).
+// Durable write-ahead repair journal (ppm::scrub).
 //
 // Every scrub repair is journaled in two phases:
 //
@@ -10,22 +10,26 @@
 //                 exactly the blocks that were verified repaired.
 //
 // Records are one file each, sealed like the plan/cert stores:
-// `PPMSCRUBJ <version> <crc32 hex> <len>\n<payload>`, written to a
-// `.tmp` sibling and atomically renamed into place — a crash at any
-// instant leaves either the previous record state or the next, never a
-// torn file a reader could trust. A crash between begin and commit
-// leaves an intent-only record: that is the evidence Scrubber::replay
-// feeds on after restart.
+// `PPMSCRUBJ <version> <crc32 hex> <len>\n<payload>`, published through
+// common/sealed_dir.h — written and fsynced under a `.tmp` sibling,
+// renamed into place, then the directory fsynced. Once begin() or
+// commit() returns success, the record survives a process crash and a
+// power loss; a crash at any instant leaves either the previous record
+// state or the next, never a torn file a reader could trust. (A power
+// cut between the rename and the directory fsync is not yet drilled;
+// that drill waits for a filesystem-fault seam.) A crash between begin
+// and commit leaves an intent-only record: that is the evidence
+// Scrubber::replay feeds on after restart.
 //
 // The trust model mirrors docs/PLAN_STORE.md: nothing read back from
 // disk is believed. load_all() re-checks the seal and bounds-checks the
-// parse, renaming failures aside as `<name>.quarantined`; replay
-// re-verifies every *claimed-repaired* block byte-for-byte against the
-// fleet's expected digests and quarantines records whose claims do not
-// hold, rather than trusting the record (scrub/scrub.h). gc() collects
-// committed records, stale temporaries and aged-out quarantined files
-// (newest `keep_quarantined` survive for forensics); intent records are
-// never collected — they are actionable until a commit supersedes them.
+// parse, quarantining failures (SealedDir::load); replay re-verifies
+// every *claimed-repaired* block byte-for-byte against the fleet's
+// expected digests and quarantines records whose claims do not hold,
+// rather than trusting the record (scrub/scrub.h). gc() collects
+// committed records, stale temporaries and aged-out quarantined files;
+// intent records are never collected — they are actionable until a
+// commit supersedes them.
 //
 // Thread-safety: all operations are serialized by an internal mutex;
 // begin/commit never throw on I/O failure (the repair path is a serving
@@ -39,6 +43,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "common/sealed_dir.h"
 
 namespace ppm::scrub {
 
@@ -76,15 +82,13 @@ class RepairJournal {
   std::vector<JournalRecord> load_all();
 
   /// Rename record `seq` aside as `.quarantined` (replay calls this when
-  /// a committed record's claims fail re-verification).
+  /// a committed record's claims fail re-verification). True only when
+  /// the rename succeeded; a record whose rename fails is removed.
   bool quarantine(std::uint64_t seq);
 
-  /// One journal file as seen on disk (no verification).
-  struct Entry {
-    std::string filename;
-    std::uintmax_t bytes = 0;
-    bool quarantined = false;
-  };
+  /// Journal records and quarantined files as seen on disk (no
+  /// verification), sorted by name.
+  using Entry = SealedDir::Entry;
   std::vector<Entry> list() const;
 
   /// Collect committed records, stale `.tmp` files, and all but the
@@ -96,7 +100,7 @@ class RepairJournal {
   };
   GcReport gc(std::size_t keep_quarantined = 0);
 
-  const std::filesystem::path& directory() const { return dir_; }
+  const std::filesystem::path& directory() const { return dir_.directory(); }
 
   /// Canonical record file name for a sequence number.
   static std::string record_filename(std::uint64_t seq);
@@ -107,10 +111,7 @@ class RepairJournal {
   static std::string sanitize(const std::string& stripe_id);
 
  private:
-  std::filesystem::path record_path(std::uint64_t seq) const;
-  bool write_record(const JournalRecord& record);
-
-  std::filesystem::path dir_;
+  SealedDir dir_;
   mutable std::mutex mutex_;
   std::uint64_t next_seq_ = 1;
   std::map<std::uint64_t, JournalRecord> pending_;  ///< intents we begun

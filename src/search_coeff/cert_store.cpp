@@ -1,187 +1,87 @@
 #include "search_coeff/cert_store.h"
 
-#include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <utility>
 
-#include "common/crc32.h"
 #include "common/metrics.h"
 
 namespace ppm::coeffsearch {
-namespace {
-
-constexpr const char* kMagic = "PPMCERT";
-constexpr const char* kCertSuffix = ".cert";
-constexpr const char* kQuarantineSuffix = ".quarantined";
-constexpr const char* kTmpSuffix = ".tmp";
-
-bool read_file(const std::filesystem::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return in.good() || in.eof();
-}
-
-// Splits "PPMCERT <version> <crc32 hex> <len>\n<payload>" and checks
-// the seal. Returns false with `why` set on any structural problem.
-bool unseal(const std::string& raw, std::string* payload,
-            std::string* why) {
-  const std::size_t nl = raw.find('\n');
-  if (nl == std::string::npos) {
-    *why = "missing header line";
-    return false;
-  }
-  const std::string header = raw.substr(0, nl);
-  char magic[16] = {};
-  std::uint64_t version = 0;
-  std::uint64_t crc = 0;
-  std::uint64_t len = 0;
-  if (std::sscanf(header.c_str(), "%15s %" SCNu64 " %" SCNx64 " %" SCNu64,
-                  magic, &version, &crc, &len) != 4 ||
-      std::string(magic) != kMagic) {
-    *why = "malformed header";
-    return false;
-  }
-  if (version != kCertFormatVersion) {
-    *why = "unsupported record version";
-    return false;
-  }
-  *payload = raw.substr(nl + 1);
-  if (payload->size() != len) {
-    *why = "length mismatch (torn write?)";
-    return false;
-  }
-  if (crc32(payload->data(), payload->size()) != crc) {
-    *why = "CRC mismatch";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 CertStore::CertStore(std::filesystem::path directory)
-    : dir_(std::move(directory)) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-}
+    : dir_(std::move(directory), "PPMCERT", kCertFormatVersion, ".cert",
+           [] { search_metrics().cert_quarantined.add(); }) {}
 
 std::string CertStore::record_filename(const Geometry& g) {
   char buf[96];
-  std::snprintf(buf, sizeof buf, "sd-n%zu-r%zu-m%zu-s%zu-w%u%s", g.n,
-                g.r, g.m, g.s, g.w, kCertSuffix);
+  std::snprintf(buf, sizeof buf, "sd-n%zu-r%zu-m%zu-s%zu-w%u.cert", g.n, g.r,
+                g.m, g.s, g.w);
   return buf;
 }
 
 bool CertStore::put(const Certificate& cert) {
   const std::string payload = cert.to_json();
-  char header[64];
-  std::snprintf(header, sizeof header, "%s %" PRIu64 " %08" PRIx64
-                " %zu\n",
-                kMagic, kCertFormatVersion,
-                static_cast<std::uint64_t>(
-                    crc32(payload.data(), payload.size())),
-                payload.size());
   std::scoped_lock lock(mutex_);
-  const std::filesystem::path path =
-      dir_ / record_filename(cert.geometry);
-  const std::filesystem::path tmp = path.string() + kTmpSuffix;
-  bool wrote = false;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out << header << payload;
-      out.flush();
-      wrote = out.good();
-    }
-  }
-  std::error_code ec;
-  if (!wrote) {
-    // Never leave a torn temporary behind a failed write.
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
+  if (!dir_.publish(record_filename(cert.geometry), payload)) return false;
   search_metrics().cert_stores.add();
   return true;
 }
 
-void CertStore::quarantine(const std::filesystem::path& path) {
-  std::error_code ec;
-  std::filesystem::rename(path, path.string() + kQuarantineSuffix, ec);
-  search_metrics().cert_quarantined.add();
-}
-
-CertStore::LoadResult CertStore::load_path(
-    const std::filesystem::path& path, const Geometry* expect_geometry,
-    const CertifyOptions* require, Certificate* out, std::string* why) {
-  SearchMetrics& metrics = search_metrics();
-  std::string raw;
-  if (!read_file(path, &raw)) return LoadResult::kMissing;
-  const auto fail = [&](const std::string& reason) {
-    if (why) *why = reason;
-    quarantine(path);
-    metrics.cert_load_failures.add();
-    return LoadResult::kRejected;
-  };
-  std::string payload;
-  std::string reason;
-  if (!unseal(raw, &payload, &reason)) return fail(reason);
-  Certificate record;
-  if (!parse_certificate(payload, &record, &reason)) return fail(reason);
-  if (record.family != "sd") return fail("unknown family");
-  if (expect_geometry != nullptr &&
-      !(record.geometry == *expect_geometry)) {
-    return fail("geometry mismatch");
-  }
-  if (require != nullptr) {
-    if (record.exact_class_limit < require->exact_class_limit ||
-        record.stratified_classes < require->stratified_classes ||
-        record.plan_budget < require->plan_budget ||
-        (require->optimize_xor && !record.optimize_xor)) {
-      return fail("recorded proof weaker than required");
+SealedDir::Accept CertStore::reprove(const Geometry* expect_geometry,
+                                     const CertifyOptions* require,
+                                     Certificate* out) {
+  return [expect_geometry, require, out](std::string_view payload,
+                                         std::string* why) {
+    Certificate record;
+    if (!parse_certificate(payload, &record, why)) return false;
+    const auto fail = [why](const std::string& reason) {
+      *why = reason;
+      return false;
+    };
+    if (record.family != "sd") return fail("unknown family");
+    if (expect_geometry != nullptr &&
+        !(record.geometry == *expect_geometry)) {
+      return fail("geometry mismatch");
     }
-  }
-  // Zero trust: re-run the full certification with the record's own
-  // options and demand exact equality. Anything the record claims that
-  // the oracles do not reproduce — census, strata, profiles, the tuple
-  // itself — quarantines it.
-  CertifyOptions reproof;
-  reproof.exact_class_limit = record.exact_class_limit;
-  reproof.stratified_classes = record.stratified_classes;
-  reproof.plan_budget = record.plan_budget;
-  reproof.optimize_xor = record.optimize_xor;
-  // Characterization mode is observationally identical for perfect
-  // tuples and required to reproduce best-effort records; the exact
-  // equality check below pins the recorded deficiency counts either
-  // way, so a record claiming perfection for an imperfect tuple (or
-  // vice versa) still quarantines.
-  reproof.allow_deficient = true;
-  CertifyResult fresh;
-  try {
-    fresh = certify_tuple(record.geometry, record.tuple, reproof);
-  } catch (const std::invalid_argument&) {
-    return fail("recorded geometry is degenerate");
-  }
-  if (!fresh.certified) {
-    return fail("re-proof refuted the record: " + fresh.reason);
-  }
-  if (!(fresh.cert == record)) {
-    return fail("re-proof disagrees with the record");
-  }
-  if (out != nullptr) *out = std::move(fresh.cert);
-  metrics.cert_loads.add();
-  return LoadResult::kLoaded;
+    if (require != nullptr) {
+      if (record.exact_class_limit < require->exact_class_limit ||
+          record.stratified_classes < require->stratified_classes ||
+          record.plan_budget < require->plan_budget ||
+          (require->optimize_xor && !record.optimize_xor)) {
+        return fail("recorded proof weaker than required");
+      }
+    }
+    // Zero trust: re-run the full certification with the record's own
+    // options and demand exact equality. Anything the record claims that
+    // the oracles do not reproduce — census, strata, profiles, the tuple
+    // itself — quarantines it.
+    CertifyOptions reproof;
+    reproof.exact_class_limit = record.exact_class_limit;
+    reproof.stratified_classes = record.stratified_classes;
+    reproof.plan_budget = record.plan_budget;
+    reproof.optimize_xor = record.optimize_xor;
+    // Characterization mode is observationally identical for perfect
+    // tuples and required to reproduce best-effort records; the exact
+    // equality check below pins the recorded deficiency counts either
+    // way, so a record claiming perfection for an imperfect tuple (or
+    // vice versa) still quarantines.
+    reproof.allow_deficient = true;
+    CertifyResult fresh;
+    try {
+      fresh = certify_tuple(record.geometry, record.tuple, reproof);
+    } catch (const std::invalid_argument&) {
+      return fail("recorded geometry is degenerate");
+    }
+    if (!fresh.certified) {
+      return fail("re-proof refuted the record: " + fresh.reason);
+    }
+    if (!(fresh.cert == record)) {
+      return fail("re-proof disagrees with the record");
+    }
+    if (out != nullptr) *out = std::move(fresh.cert);
+    return true;
+  };
 }
 
 CertStore::LoadResult CertStore::load(const Geometry& g,
@@ -189,94 +89,32 @@ CertStore::LoadResult CertStore::load(const Geometry& g,
                                       Certificate* out,
                                       std::string* why) {
   std::scoped_lock lock(mutex_);
-  return load_path(dir_ / record_filename(g), &g, &require, out, why);
+  const LoadResult result = dir_.load(dir_.directory() / record_filename(g),
+                                      reprove(&g, &require, out), why);
+  if (result == LoadResult::kLoaded) search_metrics().cert_loads.add();
+  if (result == LoadResult::kRejected) {
+    search_metrics().cert_load_failures.add();
+  }
+  return result;
 }
 
 std::vector<CertStore::Entry> CertStore::list() const {
   std::scoped_lock lock(mutex_);
-  std::vector<Entry> out;
-  std::error_code ec;
-  for (const auto& de :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = de.path().filename().string();
-    const bool quarantined = name.ends_with(kQuarantineSuffix);
-    if (!name.ends_with(kCertSuffix) && !quarantined) continue;
-    Entry e;
-    e.filename = name;
-    std::error_code size_ec;
-    e.bytes = std::filesystem::file_size(de.path(), size_ec);
-    e.quarantined = quarantined;
-    out.push_back(std::move(e));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.filename < b.filename;
-            });
-  return out;
+  return dir_.list();
 }
 
 CertStore::CheckReport CertStore::check() {
   std::scoped_lock lock(mutex_);
-  CheckReport report;
-  std::vector<std::filesystem::path> records;
-  std::error_code ec;
-  for (const auto& de :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    if (de.path().filename().string().ends_with(kCertSuffix)) {
-      records.push_back(de.path());
-    }
-  }
-  std::sort(records.begin(), records.end());
-  for (const auto& path : records) {
-    ++report.checked;
-    std::string why;
-    if (load_path(path, nullptr, nullptr, nullptr, &why) ==
-        LoadResult::kLoaded) {
-      ++report.verified;
-    } else {
-      ++report.quarantined;
-    }
-  }
+  const CheckReport report =
+      dir_.check({}, reprove(nullptr, nullptr, nullptr));
+  search_metrics().cert_loads.add(report.verified);
+  search_metrics().cert_load_failures.add(report.quarantined);
   return report;
 }
 
 CertStore::GcReport CertStore::gc(std::size_t keep_quarantined) {
   std::scoped_lock lock(mutex_);
-  GcReport report;
-  std::vector<std::filesystem::path> quarantined;
-  std::vector<std::filesystem::path> doomed_tmp;
-  std::error_code ec;
-  for (const auto& de :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = de.path().filename().string();
-    if (name.ends_with(kQuarantineSuffix)) {
-      quarantined.push_back(de.path());
-    } else if (name.ends_with(kTmpSuffix)) {
-      doomed_tmp.push_back(de.path());
-    }
-  }
-  // Newest quarantined files (write time, then name) survive as the
-  // forensic window; everything older goes.
-  std::sort(quarantined.begin(), quarantined.end(),
-            [](const std::filesystem::path& a, const std::filesystem::path& b) {
-              std::error_code ta_ec;
-              std::error_code tb_ec;
-              const auto ta = std::filesystem::last_write_time(a, ta_ec);
-              const auto tb = std::filesystem::last_write_time(b, tb_ec);
-              if (ta != tb) return ta > tb;
-              return a.filename().string() > b.filename().string();
-            });
-  for (std::size_t i = keep_quarantined; i < quarantined.size(); ++i) {
-    std::error_code rm;
-    if (std::filesystem::remove(quarantined[i], rm)) {
-      ++report.removed_quarantined;
-    }
-  }
-  for (const auto& p : doomed_tmp) {
-    std::error_code rm;
-    if (std::filesystem::remove(p, rm)) ++report.removed_tmp;
-  }
-  return report;
+  return dir_.gc(keep_quarantined);
 }
 
 namespace {

@@ -1,19 +1,18 @@
 // Persistent store for coefficient certificates (search_coeff/), with
-// the same zero-trust contract as the plan store (plan_store/):
+// the same zero-trust contract as the plan store (plan_store/). Records
+// are the certificate JSON sealed as `PPMCERT <version> <crc32> <len>`
+// in a SealedDir (common/sealed_dir.h: durable publish, quarantine, gc).
 //
-//  * Records are sealed — `PPMCERT <version> <crc32> <len>` header over
-//    the certificate JSON — and written atomically (temp file + rename).
-//  * Nothing on disk is ever trusted. load() parses the record, checks
-//    the seal, then *re-runs the entire certification* with the
-//    record's own proof options (certify_tuple is deterministic) and
-//    demands exact semantic equality with the record. Any mismatch —
-//    torn write, bit rot, tampering, an oracle version bump — renames
-//    the file aside as `<name>.quarantined` and reports kRejected; the
-//    caller re-searches and overwrites. A served tuple is therefore
-//    always one this process proved itself.
-//  * Records weaker than the caller's required proof strength (smaller
-//    exact/stratified/plan budgets) are rejected the same way: passing
-//    a weak re-proof must not satisfy a strong requirement.
+// Nothing on disk is ever trusted. load() checks the seal, parses the
+// record, then *re-runs the entire certification* with the record's own
+// proof options (certify_tuple is deterministic) and demands exact
+// semantic equality with the record. Any mismatch — torn write, bit rot,
+// tampering, an oracle version bump — quarantines the record and reports
+// kRejected; the caller re-searches and overwrites. A served tuple is
+// therefore always one this process proved itself. Records weaker than
+// the caller's required proof strength (smaller exact/stratified/plan
+// budgets) are rejected the same way: passing a weak re-proof must not
+// satisfy a strong requirement.
 //
 // SdCode/PmdsCode construction consumes this store through
 // default_cert_store() (settable in-process, or via the PPM_CERT_DIR
@@ -28,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sealed_dir.h"
 #include "search_coeff/certify.h"
 
 namespace ppm::coeffsearch {
@@ -37,13 +37,13 @@ class CertStore {
   /// Opens (and creates, if needed) `directory`.
   explicit CertStore(std::filesystem::path directory);
 
-  const std::filesystem::path& directory() const { return dir_; }
+  const std::filesystem::path& directory() const { return dir_.directory(); }
 
-  /// Seals and atomically publishes `cert`, overwriting any previous
+  /// Seals and durably publishes `cert`, overwriting any previous
   /// record for its geometry. Returns false on I/O failure.
   bool put(const Certificate& cert);
 
-  enum class LoadResult { kLoaded, kMissing, kRejected };
+  using LoadResult = SealedDir::LoadResult;
 
   /// Zero-trust load of the record for `g`: seal check, parse,
   /// geometry match, minimum proof strength vs `require`, then a full
@@ -53,26 +53,15 @@ class CertStore {
   LoadResult load(const Geometry& g, const CertifyOptions& require,
                   Certificate* out, std::string* why = nullptr);
 
-  struct Entry {
-    std::string filename;
-    std::uintmax_t bytes = 0;
-    bool quarantined = false;
-  };
+  using Entry = SealedDir::Entry;
   std::vector<Entry> list() const;
 
-  struct CheckReport {
-    std::size_t checked = 0;
-    std::size_t verified = 0;
-    std::size_t quarantined = 0;
-  };
+  using CheckReport = SealedDir::CheckReport;
   /// Re-proves every record in the store (each with its own recorded
   /// options); failing records are quarantined.
   CheckReport check();
 
-  struct GcReport {
-    std::size_t removed_quarantined = 0;
-    std::size_t removed_tmp = 0;
-  };
+  using GcReport = SealedDir::GcReport;
   /// Removes quarantined records and stale temp files, keeping the
   /// newest `keep_quarantined` quarantined files for forensics.
   GcReport gc(std::size_t keep_quarantined = 0);
@@ -80,13 +69,14 @@ class CertStore {
   static std::string record_filename(const Geometry& g);
 
  private:
-  LoadResult load_path(const std::filesystem::path& path,
-                       const Geometry* expect_geometry,
-                       const CertifyOptions* require, Certificate* out,
-                       std::string* why);
-  void quarantine(const std::filesystem::path& path);
+  // The zero-trust gate for one payload: parse, geometry match, minimum
+  // proof strength, full re-certification. On success, when `out` is
+  // non-null, the re-proven certificate lands there.
+  static SealedDir::Accept reprove(const Geometry* expect_geometry,
+                                   const CertifyOptions* require,
+                                   Certificate* out);
 
-  std::filesystem::path dir_;
+  SealedDir dir_;
   mutable std::mutex mutex_;
 };
 

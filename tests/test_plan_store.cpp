@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "decode/scenario.h"
 #include "decode/traditional_decoder.h"
 #include "plan_store/plan_store.h"
+#include "test_util.h"
 #include "workload/stripe.h"
 
 namespace ppm {
@@ -25,22 +25,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Unique store directory per test, removed on scope exit.
-class StoreDir {
- public:
-  explicit StoreDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("ppm_store_" + tag + "_" +
-               std::to_string(static_cast<unsigned long long>(
-                   reinterpret_cast<std::uintptr_t>(this))))) {
-    fs::remove_all(path_);
-  }
-  ~StoreDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 SDCode test_code() {
   return SDCode(6, 8, 2, 2, SDCode::recommended_width(6, 8));
@@ -53,18 +38,6 @@ FailureScenario disk_failure(const ErasureCode& code, std::size_t disk) {
     faulty.push_back(code.block_id(row, disk));
   }
   return FailureScenario(faulty);
-}
-
-std::vector<std::uint8_t> read_file(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void write_file(const fs::path& p, const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(p, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 
 // Encode a stripe, erase `sc`, decode with `plan`, and require the
@@ -148,7 +121,7 @@ TEST(PlanStoreFormat, RejectsRecordOfForeignCode) {
 
 TEST(PlanStore, PutThenLoadReVerifies) {
   const SDCode code = test_code();
-  const StoreDir dir("put_load");
+  const TempDir dir("put_load");
   planstore::PlanStore store(dir.path());
   Codec codec(code);
   const FailureScenario sc = disk_failure(code, 2);
@@ -172,7 +145,7 @@ TEST(PlanStore, PutThenLoadReVerifies) {
 
 TEST(PlanStore, CodecWriteThroughAndReadThrough) {
   const SDCode code = test_code();
-  const StoreDir dir("write_read");
+  const TempDir dir("write_read");
   const FailureScenario sc = disk_failure(code, 0);
 
   Codec writer(code);
@@ -196,7 +169,7 @@ TEST(PlanStore, CodecWriteThroughAndReadThrough) {
 
 TEST(PlanStore, WarmPopulatesShardedCache) {
   const SDCode code = test_code();
-  const StoreDir dir("warm");
+  const TempDir dir("warm");
   Codec writer(code);
   writer.attach_store(dir.path().string());
   for (std::size_t d = 0; d < 3; ++d) {
@@ -217,7 +190,7 @@ TEST(PlanStore, WarmPopulatesShardedCache) {
 
 TEST(PlanStore, ScenarioListWarmLoadsSelectedKeys) {
   const SDCode code = test_code();
-  const StoreDir dir("warm_list");
+  const TempDir dir("warm_list");
   Codec writer(code);
   writer.attach_store(dir.path().string());
   const std::vector<FailureScenario> scenarios = {disk_failure(code, 0),
@@ -233,7 +206,7 @@ TEST(PlanStore, ScenarioListWarmLoadsSelectedKeys) {
 
 TEST(PlanStore, CorruptPayloadIsQuarantinedAndRebuilt) {
   const SDCode code = test_code();
-  const StoreDir dir("corrupt");
+  const TempDir dir("corrupt");
   const FailureScenario sc = disk_failure(code, 1);
   Codec writer(code);
   writer.attach_store(dir.path().string());
@@ -241,10 +214,9 @@ TEST(PlanStore, CorruptPayloadIsQuarantinedAndRebuilt) {
 
   const fs::path record =
       dir.path() / planstore::PlanStore::record_filename(code, sc);
-  auto bytes = read_file(record);
-  ASSERT_GT(bytes.size(), 32u);
-  bytes[30] ^= 0xFF;  // inside the CRC-protected payload
-  write_file(record, bytes);
+  std::string bytes = test::read_file(record);
+  bytes.back() ^= 0x01;  // inside the CRC-protected payload
+  test::write_file(record, bytes);
 
   planstore::PlanStore store(dir.path());
   std::shared_ptr<const CachedPlan> out;
@@ -258,7 +230,7 @@ TEST(PlanStore, CorruptPayloadIsQuarantinedAndRebuilt) {
 
   // A codec facing the corrupt record rebuilds from the code, decodes
   // correctly, and re-persists a healthy record.
-  write_file(record, bytes);  // fresh corrupt copy
+  test::write_file(record, bytes);  // fresh corrupt copy
   Codec reader(code);
   reader.attach_store(dir.path().string());
   const auto plan = reader.plan_for(sc);
@@ -270,30 +242,9 @@ TEST(PlanStore, CorruptPayloadIsQuarantinedAndRebuilt) {
   expect_plan_decodes(code, sc, *plan);
 }
 
-TEST(PlanStore, TruncatedRecordIsQuarantined) {
-  const SDCode code = test_code();
-  const StoreDir dir("truncate");
-  const FailureScenario sc = disk_failure(code, 0);
-  Codec writer(code);
-  writer.attach_store(dir.path().string());
-  ASSERT_NE(writer.plan_for(sc), nullptr);
-
-  const fs::path record =
-      dir.path() / planstore::PlanStore::record_filename(code, sc);
-  auto bytes = read_file(record);
-  bytes.resize(bytes.size() / 2);
-  write_file(record, bytes);
-
-  planstore::PlanStore store(dir.path());
-  std::shared_ptr<const CachedPlan> out;
-  EXPECT_EQ(store.load(code, sc, &out),
-            planstore::PlanStore::LoadResult::kRejected);
-  EXPECT_TRUE(fs::exists(record.string() + ".quarantined"));
-}
-
 TEST(PlanStore, FutureFormatVersionIsQuarantined) {
   const SDCode code = test_code();
-  const StoreDir dir("version");
+  const TempDir dir("version");
   const FailureScenario sc = disk_failure(code, 0);
   Codec writer(code);
   writer.attach_store(dir.path().string());
@@ -301,9 +252,8 @@ TEST(PlanStore, FutureFormatVersionIsQuarantined) {
 
   const fs::path record =
       dir.path() / planstore::PlanStore::record_filename(code, sc);
-  auto bytes = read_file(record);
-  bytes[8] += 1;  // format-version u32 sits after the 8-byte magic
-  write_file(record, bytes);
+  const std::string sealed = test::read_file(record);
+  test::reseal(record, planstore::kFormatVersion + 1, [](std::string&) {});
 
   planstore::PlanStore store(dir.path());
   std::shared_ptr<const CachedPlan> out;
@@ -312,6 +262,21 @@ TEST(PlanStore, FutureFormatVersionIsQuarantined) {
             planstore::PlanStore::LoadResult::kRejected);
   EXPECT_NE(why.find("version"), std::string::npos);
   EXPECT_TRUE(fs::exists(record.string() + ".quarantined"));
+
+  // A v2 record — the same payload under the old binary header (8-byte
+  // magic, version u32, CRC u32, length u64) — quarantines the same way.
+  const std::string payload = sealed.substr(sealed.find('\n') + 1);
+  std::string v2("PPMPLAN\0", 8);
+  const auto put_le = [&v2](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) v2 += static_cast<char>(v >> (8 * i));
+  };
+  put_le(2, 4);
+  put_le(crc32(payload.data(), payload.size()), 4);
+  put_le(payload.size(), 8);
+  test::write_file(record, v2 + payload);
+  EXPECT_EQ(store.load(code, sc, &out, &why),
+            planstore::PlanStore::LoadResult::kRejected);
+  EXPECT_FALSE(fs::exists(record));
 }
 
 TEST(PlanStore, PutReportsFailureWhenTmpPathUnwritable) {
@@ -319,7 +284,7 @@ TEST(PlanStore, PutReportsFailureWhenTmpPathUnwritable) {
   // even open. put() must report false and leave no record behind. (A
   // directory blocks root too, unlike permission bits.)
   const SDCode code = test_code();
-  const StoreDir dir("put_tmp_blocked");
+  const TempDir dir("put_tmp_blocked");
   planstore::PlanStore store(dir.path());
   Codec codec(code);
   const FailureScenario sc = disk_failure(code, 0);
@@ -339,7 +304,7 @@ TEST(PlanStore, PutReportsFailureWhenPublishBlockedAndRemovesTmp) {
   // atomic rename cannot publish. put() must report false and must not
   // leak the staged .tmp file.
   const SDCode code = test_code();
-  const StoreDir dir("put_publish_blocked");
+  const TempDir dir("put_publish_blocked");
   planstore::PlanStore store(dir.path());
   Codec codec(code);
   const FailureScenario sc = disk_failure(code, 1);
@@ -360,7 +325,7 @@ TEST(PlanStore, CodecCountsStoreFailureAndStillDecodes) {
   // path must proceed untroubled, and the failure must surface as the
   // planstore.store_failures counter rather than an exception.
   const SDCode code = test_code();
-  const StoreDir dir("put_counter");
+  const TempDir dir("put_counter");
   const FailureScenario sc = disk_failure(code, 2);
 
   Codec codec(code);
@@ -381,7 +346,7 @@ TEST(PlanStore, CodecCountsStoreFailureAndStillDecodes) {
 
 TEST(PlanStore, CheckReportsAndGcRemovesQuarantined) {
   const SDCode code = test_code();
-  const StoreDir dir("check_gc");
+  const TempDir dir("check_gc");
   Codec writer(code);
   writer.attach_store(dir.path().string());
   for (std::size_t d = 0; d < 3; ++d) {
@@ -399,10 +364,10 @@ TEST(PlanStore, CheckReportsAndGcRemovesQuarantined) {
   const fs::path victim =
       dir.path() /
       planstore::PlanStore::record_filename(code, disk_failure(code, 1));
-  auto bytes = read_file(victim);
+  std::string bytes = test::read_file(victim);
   bytes.back() ^= 0x01;
-  write_file(victim, bytes);
-  write_file(dir.path() / "orphan.plan.tmp", {0x00});
+  test::write_file(victim, bytes);
+  test::write_file(dir.path() / "orphan.plan.tmp", "x");
 
   report = store.check(code);
   EXPECT_EQ(report.checked, 3u);
@@ -421,34 +386,6 @@ TEST(PlanStore, CheckReportsAndGcRemovesQuarantined) {
   for (const auto& entry : store.list()) {
     EXPECT_FALSE(entry.quarantined);
   }
-}
-
-TEST(PlanStore, GcRetainsTheNewestQuarantinedFiles) {
-  // Quarantined records are forensic evidence: gc(keep) must age out the
-  // oldest ones and keep exactly the `keep` newest, never all of them
-  // forever and never the ones an operator still wants to inspect.
-  const StoreDir dir("gc_retention");
-  planstore::PlanStore store(dir.path());
-  const auto now = fs::file_time_type::clock::now();
-  for (int i = 0; i < 4; ++i) {
-    const fs::path p =
-        dir.path() / ("rot" + std::to_string(i) + ".plan.quarantined");
-    write_file(p, {static_cast<std::uint8_t>(i)});
-    // Distinct mtimes, oldest first, so the retention order is pinned.
-    fs::last_write_time(p, now - std::chrono::hours(10 - i));
-  }
-
-  const auto gc = store.gc(/*keep_quarantined=*/2);
-  EXPECT_EQ(gc.removed_quarantined, 2u);
-  EXPECT_FALSE(fs::exists(dir.path() / "rot0.plan.quarantined"));
-  EXPECT_FALSE(fs::exists(dir.path() / "rot1.plan.quarantined"));
-  EXPECT_TRUE(fs::exists(dir.path() / "rot2.plan.quarantined"));
-  EXPECT_TRUE(fs::exists(dir.path() / "rot3.plan.quarantined"));
-
-  // keep >= count removes nothing.
-  EXPECT_EQ(store.gc(10).removed_quarantined, 0u);
-  // Default retention stays zero: everything quarantined goes.
-  EXPECT_EQ(store.gc().removed_quarantined, 2u);
 }
 
 }  // namespace

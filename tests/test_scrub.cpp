@@ -31,6 +31,7 @@
 #include "scrub/rate_limiter.h"
 #include "scrub/scrub.h"
 #include "serve/server.h"
+#include "test_util.h"
 #include "workload/stripe.h"
 
 namespace ppm {
@@ -44,22 +45,7 @@ using io::MemoryBlockStore;
 using io::ReadStatus;
 using io::WriteStatus;
 
-// Unique scratch directory per test, removed on scope exit.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("ppm_scrub_" + tag + "_" +
-               std::to_string(static_cast<unsigned long long>(
-                   reinterpret_cast<std::uintptr_t>(this))))) {
-    fs::remove_all(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 // One stripe of "storage" behind the read/write fault seam the scrubber
 // patrols through, plus the decode scratch and reference digests a
@@ -430,6 +416,43 @@ TEST(RepairJournal, GcKeepsIntentsAndANewestQuarantineWindow) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].seq, *intent);
   EXPECT_FALSE(records[0].committed);
+}
+
+TEST(RepairJournal, BlockedQuarantineRemovesTheRecordUncounted) {
+  // A directory squatting on the quarantine name blocks the rename: the
+  // rotten record must still never be served again (it is removed), and
+  // the quarantine counter must not claim a rename that did not happen.
+  TempDir dir("journal_quarantine_blocked");
+  scrub::RepairJournal journal(dir.path());
+  const auto seq = journal.begin("s", {0}, {0u});
+  ASSERT_TRUE(seq.has_value());
+  const fs::path record =
+      dir.path() / scrub::RepairJournal::record_filename(*seq);
+  std::string bytes = test::read_file(record);
+  bytes.back() ^= 0x01;
+  test::write_file(record, bytes);
+  fs::create_directories(record.string() + ".quarantined");
+
+  scrub_metrics().reset();
+  EXPECT_TRUE(journal.load_all().empty());
+  EXPECT_FALSE(fs::exists(record));
+  EXPECT_EQ(scrub_metrics().journal_quarantined.value(), 0u);
+}
+
+TEST(RepairJournal, ListShowsOnlyRecordsAndQuarantinedFiles) {
+  TempDir dir("journal_list");
+  scrub::RepairJournal journal(dir.path());
+  const auto seq = journal.begin("s", {0}, {0u});
+  ASSERT_TRUE(seq.has_value());
+  const std::string name = scrub::RepairJournal::record_filename(*seq);
+  test::write_file(dir.path() / (name + ".tmp"), "torn");
+  test::write_file(dir.path() / "notes.txt", "foreign");
+  test::write_file(dir.path() / "rep-old.scrubj.quarantined", "rot");
+
+  std::vector<std::string> listed;
+  for (const auto& entry : journal.list()) listed.push_back(entry.filename);
+  EXPECT_EQ(listed,
+            (std::vector<std::string>{name, "rep-old.scrubj.quarantined"}));
 }
 
 TEST(RepairJournal, StoreFailuresAreCountedNotThrown) {

@@ -4,19 +4,15 @@
 // round-trip and the cert store's zero-trust tamper handling.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "codes/sd_code.h"
-#include "common/crc32.h"
+#include "common/metrics.h"
 #include "search_coeff/cert_store.h"
 #include "search_coeff/certify.h"
 #include "search_coeff/scenario_enum.h"
 #include "search_coeff/search.h"
+#include "test_util.h"
 
 namespace ppm::coeffsearch {
 namespace {
@@ -281,13 +277,9 @@ TEST(SearchCoeff, SearchBeatsOrMatchesPaperTuple) {
 
 class CertStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           "ppm_test_cert_store";
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  test::TempDir tmp_{
+      ::testing::UnitTest::GetInstance()->current_test_info()->name()};
+  const std::filesystem::path dir_ = tmp_.path();
 };
 
 TEST_F(CertStoreTest, PutLoadRoundTrip) {
@@ -332,29 +324,12 @@ TEST_F(CertStoreTest, CrcResealedTamperIsQuarantinedAndRecertified) {
   // RE-SEAL with a correct CRC, so only the semantic re-proof can
   // catch it. This models an adversarial (not accidental) edit; note a
   // CRC-level flip without resealing is already caught by unseal().
-  std::string payload;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string raw = buf.str();
-    payload = raw.substr(raw.find('\n') + 1);
-  }
-  const std::string from = "\"deficient_classes\":0";
-  const std::size_t at = payload.find(from);
-  ASSERT_NE(at, std::string::npos);
-  payload.replace(at, from.size(), "\"deficient_classes\":1");
-  {
-    char header[64];
-    std::snprintf(header, sizeof header, "PPMCERT %" PRIu64 " %08" PRIx64
-                  " %zu\n",
-                  kCertFormatVersion,
-                  static_cast<std::uint64_t>(
-                      crc32(payload.data(), payload.size())),
-                  payload.size());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << header << payload;
-  }
+  test::reseal(path, kCertFormatVersion, [](std::string& payload) {
+    const std::string from = "\"deficient_classes\":0";
+    const std::size_t at = payload.find(from);
+    ASSERT_NE(at, std::string::npos);
+    payload.replace(at, from.size(), "\"deficient_classes\":1");
+  });
 
   // The seal verifies, the parse succeeds — but the zero-trust re-proof
   // disagrees with the record, so the load quarantines it.
@@ -383,27 +358,28 @@ TEST_F(CertStoreTest, CrcResealedTamperIsQuarantinedAndRecertified) {
       std::filesystem::exists(path.string() + ".quarantined"));
 }
 
-TEST_F(CertStoreTest, GcRetainsTheNewestQuarantinedFiles) {
-  // Same retention contract as the plan store: gc(keep) ages out the
-  // oldest quarantined certificates and keeps the `keep` newest as the
-  // forensic window.
+TEST_F(CertStoreTest, BlockedQuarantineRemovesTheRecordUncounted) {
+  // A rejected certificate whose quarantine rename fails must not stay in
+  // place (every later load would re-run the full certification) and must
+  // not be counted as quarantined: it is removed — fail closed.
   CertStore store(dir_);
-  const auto now = std::filesystem::file_time_type::clock::now();
-  for (int i = 0; i < 3; ++i) {
-    const std::filesystem::path p =
-        dir_ / ("rot" + std::to_string(i) + ".cert.quarantined");
-    std::ofstream(p) << "junk" << i;
-    std::filesystem::last_write_time(p, now - std::chrono::hours(10 - i));
-  }
+  const CertifyResult res = certify_tuple(kPaper, kPaperTuple);
+  ASSERT_TRUE(res.certified);
+  ASSERT_TRUE(store.put(res.cert));
+  const std::filesystem::path path =
+      dir_ / CertStore::record_filename(kPaper);
+  std::string bytes = test::read_file(path);
+  bytes.back() ^= 0x01;
+  test::write_file(path, bytes);
+  std::filesystem::create_directories(path.string() + ".quarantined");
 
-  EXPECT_EQ(store.gc(/*keep_quarantined=*/1).removed_quarantined, 2u);
-  EXPECT_FALSE(
-      std::filesystem::exists(dir_ / "rot0.cert.quarantined"));
-  EXPECT_FALSE(
-      std::filesystem::exists(dir_ / "rot1.cert.quarantined"));
-  EXPECT_TRUE(
-      std::filesystem::exists(dir_ / "rot2.cert.quarantined"));
-  EXPECT_EQ(store.gc().removed_quarantined, 1u);
+  search_metrics().reset();
+  Certificate out;
+  EXPECT_EQ(store.load(kPaper, CertifyOptions{}, &out),
+            CertStore::LoadResult::kRejected);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(search_metrics().cert_quarantined.value(), 0u);
+  EXPECT_EQ(search_metrics().cert_load_failures.value(), 1u);
 }
 
 TEST_F(CertStoreTest, PutFailureLeavesNoTmpBehind) {

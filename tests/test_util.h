@@ -1,8 +1,15 @@
 // Shared helpers for the PPM test suite.
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "ppm.h"
@@ -43,6 +50,51 @@ inline std::vector<std::uint8_t> fill_and_encode(const ErasureCode& code,
   const auto enc = trad.encode(stripe.block_ptrs(), stripe.block_bytes());
   if (!enc.has_value()) throw std::runtime_error("reference encode failed");
   return stripe.snapshot();
+}
+
+/// Scratch directory unique to this process and instance, removed on scope
+/// exit — so tests running in parallel processes never share one.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag)
+      : path_(std::filesystem::temp_directory_path() /
+              ("ppm_" + tag + "_" + std::to_string(::getpid()) + "_" +
+               std::to_string(reinterpret_cast<std::uintptr_t>(this)))) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+inline std::string read_file(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+inline void write_file(const std::filesystem::path& p,
+                       const std::string& bytes) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Apply `edit` to the payload of the sealed record at `p` and seal it
+/// again as `version` with a correct CRC, so the record still passes the
+/// seal and only a store's own re-proof can catch the edit.
+inline void reseal(const std::filesystem::path& p, std::uint64_t version,
+                   const std::function<void(std::string& payload)>& edit) {
+  const std::string raw = read_file(p);
+  std::string payload = raw.substr(raw.find('\n') + 1);
+  edit(payload);
+  write_file(p, seal(raw.substr(0, raw.find(' ')), version, payload));
 }
 
 }  // namespace ppm::test

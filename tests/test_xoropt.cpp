@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "codes/sd_code.h"
 #include "codes/star_code.h"
 #include "codes/xorbas_lrc_code.h"
-#include "common/crc32.h"
 #include "decode/xor_schedule.h"
 #include "matrix/solve.h"
 #include "optimize_xor/xoropt.h"
@@ -413,30 +411,14 @@ TEST(XorOptCodec, KnobOffLeavesPlansScheduleFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan store: optimized schedules persist through the v2 record format,
+// Plan store: optimized schedules persist through the record format,
 // reload only after re-proving, and a record whose schedule no longer
 // proves is quarantined — zero trust extends to the optimizer's output.
-
-class StoreDir {
- public:
-  explicit StoreDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("ppm_xoropt_" + tag + "_" +
-               std::to_string(static_cast<unsigned long long>(
-                   reinterpret_cast<std::uintptr_t>(this))))) {
-    fs::remove_all(path_);
-  }
-  ~StoreDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 TEST(XorOptPlanStore, SchedulesRoundTripThroughDisk) {
   const CRSCode code(6, 3, 8);
   const FailureScenario sc = disk_failure(code, 0);
-  StoreDir dir("roundtrip");
+  test::TempDir dir("roundtrip");
 
   Codec::Options options;
   options.optimize_xor = true;
@@ -473,7 +455,7 @@ TEST(XorOptPlanStore, SchedulesRoundTripThroughDisk) {
 TEST(XorOptPlanStore, TamperedScheduleIsQuarantinedOnLoad) {
   const CRSCode code(6, 3, 8);
   const FailureScenario sc = disk_failure(code, 0);
-  StoreDir dir("tamper");
+  test::TempDir dir("tamper");
 
   Codec::Options options;
   options.optimize_xor = true;
@@ -483,28 +465,14 @@ TEST(XorOptPlanStore, TamperedScheduleIsQuarantinedOnLoad) {
 
   const fs::path record =
       dir.path() / planstore::PlanStore::record_filename(code, sc);
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(record, std::ios::binary);
-    ASSERT_TRUE(in.is_open());
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
   // The schedules section closes the payload; the final op's source field
   // sits 16 bytes from the end. Flip its low byte and re-seal the CRC so
   // the record still PARSES — only the schedule re-proof can catch it.
-  ASSERT_GT(bytes.size(), 24u + 17u);
-  bytes[bytes.size() - 16] ^= 1;
-  const std::uint32_t fresh_crc = crc32(bytes.data() + 24, bytes.size() - 24);
-  for (int i = 0; i < 4; ++i) {
-    bytes[12 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((fresh_crc >> (8 * i)) & 0xFFu);
-  }
-  {
-    std::ofstream out(record, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  ASSERT_TRUE(fs::exists(record));
+  test::reseal(record, planstore::kFormatVersion, [](std::string& payload) {
+    ASSERT_GT(payload.size(), 17u);
+    payload[payload.size() - 16] ^= 1;
+  });
 
   planstore::PlanStore store(dir.path());
   std::shared_ptr<const CachedPlan> out;

@@ -31,7 +31,7 @@
 //                    [--permanent P] [--corrupt P]   error arrivals, sweep +
 //                    [--rate-kbps K] [--retries N] [--spot-every N]  risk-
 //                    [--dir <journal>] [--drill 1] [--metrics 1]   ranked
-//                    repair + crash-consistent journal (see ROBUSTNESS.md)
+//                    repair + durable journal (see ROBUSTNESS.md)
 //   ppm_cli search {certify|best|ls|check|gc}      coefficient certification:
 //                    [--n N --r R --m M --s S --w W]   exhaustively prove a
 //                    [--coeffs a,b,...] [--dir <d>]    tuple (certify), search
@@ -1535,6 +1535,37 @@ int cmd_selftest(const ErasureCode& code, const Args& args) {
   return 0;
 }
 
+// `store ls` / `search ls`: one line per record or quarantined file.
+void print_entries(const std::vector<SealedDir::Entry>& entries) {
+  std::size_t records = 0;
+  std::size_t quarantined = 0;
+  for (const auto& entry : entries) {
+    std::printf("%10ju  %s%s\n", entry.bytes, entry.filename.c_str(),
+                entry.quarantined ? "  [QUARANTINED]" : "");
+    ++(entry.quarantined ? quarantined : records);
+  }
+  std::fprintf(stderr, "%zu record(s), %zu quarantined\n", records,
+               quarantined);
+}
+
+// `store gc` / `search gc`.
+void print_gc(const SealedDir::GcReport& report) {
+  std::printf("{\"removed_quarantined\":%zu,\"removed_tmp\":%zu}\n",
+              report.removed_quarantined, report.removed_tmp);
+}
+
+// `store check` / `search check` fail unless the store holds records and
+// every one re-proved sound.
+bool check_failed(const SealedDir::CheckReport& report, const char* noun) {
+  if (report.checked == 0) {
+    std::fprintf(stderr, "FAIL: store has no %ss\n", noun);
+  } else if (report.verified != report.checked) {
+    std::fprintf(stderr, "FAIL: %zu of %zu %s(s) quarantined\n",
+                 report.quarantined, report.checked, noun);
+  }
+  return report.checked == 0 || report.verified != report.checked;
+}
+
 // Persistent plan store operations (docs/PLAN_STORE.md):
 //
 //   store build --dir D [--sweep N|--scenario ...]   plan, verify, persist
@@ -1578,16 +1609,7 @@ int cmd_store(const ErasureCode& code, const Args& args) {
   }
 
   if (action == "ls") {
-    const planstore::PlanStore store(dir);
-    std::size_t records = 0;
-    std::size_t quarantined = 0;
-    for (const auto& entry : store.list()) {
-      std::printf("%10ju  %s%s\n", entry.bytes, entry.filename.c_str(),
-                  entry.quarantined ? "  [QUARANTINED]" : "");
-      ++(entry.quarantined ? quarantined : records);
-    }
-    std::fprintf(stderr, "%zu record(s), %zu quarantined\n", records,
-                 quarantined);
+    print_entries(planstore::PlanStore(dir).list());
     return 0;
   }
 
@@ -1607,26 +1629,14 @@ int cmd_store(const ErasureCode& code, const Args& args) {
                 "\"warm_hits\":%llu}\n",
                 report.checked, report.verified, report.quarantined,
                 static_cast<unsigned long long>(warm_hits));
-    if (report.checked == 0) {
-      std::fprintf(stderr, "FAIL: store has no records for %s\n",
-                   code.name().c_str());
-      return 1;
-    }
-    if (report.quarantined > 0 || report.verified != report.checked) {
-      std::fprintf(stderr, "FAIL: %zu of %zu record(s) quarantined\n",
-                   report.quarantined, report.checked);
-      return 1;
-    }
+    if (check_failed(report, "record")) return 1;
     std::fprintf(stderr, "PASS: %zu record(s) re-verified, %zu warmed\n",
                  report.verified, warmed);
     return 0;
   }
 
   if (action == "gc") {
-    planstore::PlanStore store(dir);
-    const auto report = store.gc(args.get("keep-quarantined", 0));
-    std::printf("{\"removed_quarantined\":%zu,\"removed_tmp\":%zu}\n",
-                report.removed_quarantined, report.removed_tmp);
+    print_gc(planstore::PlanStore(dir).gc(args.get("keep-quarantined", 0)));
     return 0;
   }
 
@@ -1677,6 +1687,19 @@ void print_search_metrics(const Args& args) {
   }
 }
 
+// Writes `cert` to the store at `dir`, when one is named.
+bool persist_certificate(const std::string& dir,
+                         const coeffsearch::Certificate& cert) {
+  if (dir.empty()) return true;
+  if (!coeffsearch::CertStore(dir).put(cert)) {
+    std::fprintf(stderr, "FAIL: could not persist certificate\n");
+    return false;
+  }
+  std::fprintf(stderr, "persisted to %s/%s\n", dir.c_str(),
+               coeffsearch::CertStore::record_filename(cert.geometry).c_str());
+  return true;
+}
+
 int cmd_search(const Args& args) {
   const std::string action = args.subcommand;
   const std::string dir = args.get("dir", std::string{});
@@ -1709,15 +1732,7 @@ int cmd_search(const Args& args) {
                  res.cert.exact ? "exact" : "stratified",
                  static_cast<unsigned long long>(res.cert.plans_proven),
                  static_cast<unsigned long long>(res.cert.deficient_classes));
-    if (!dir.empty()) {
-      coeffsearch::CertStore store(dir);
-      if (!store.put(res.cert)) {
-        std::fprintf(stderr, "FAIL: could not persist certificate\n");
-        return 1;
-      }
-      std::fprintf(stderr, "persisted to %s/%s\n", dir.c_str(),
-                   coeffsearch::CertStore::record_filename(g).c_str());
-    }
+    if (!persist_certificate(dir, res.cert)) return 1;
     print_search_metrics(args);
     return 0;
   }
@@ -1760,15 +1775,7 @@ int cmd_search(const Args& args) {
     std::fprintf(stderr, "best tuple of %llu certified (pareto %zu)\n",
                  static_cast<unsigned long long>(res.certified),
                  res.pareto.size());
-    if (!dir.empty()) {
-      coeffsearch::CertStore store(dir);
-      if (!store.put(res.best.cert)) {
-        std::fprintf(stderr, "FAIL: could not persist certificate\n");
-        return 1;
-      }
-      std::fprintf(stderr, "persisted to %s/%s\n", dir.c_str(),
-                   coeffsearch::CertStore::record_filename(g).c_str());
-    }
+    if (!persist_certificate(dir, res.best.cert)) return 1;
     print_search_metrics(args);
     return 0;
   }
@@ -1779,16 +1786,7 @@ int cmd_search(const Args& args) {
   }
 
   if (action == "ls") {
-    const coeffsearch::CertStore store(dir);
-    std::size_t records = 0;
-    std::size_t quarantined = 0;
-    for (const auto& entry : store.list()) {
-      std::printf("%10ju  %s%s\n", entry.bytes, entry.filename.c_str(),
-                  entry.quarantined ? "  [QUARANTINED]" : "");
-      ++(entry.quarantined ? quarantined : records);
-    }
-    std::fprintf(stderr, "%zu record(s), %zu quarantined\n", records,
-                 quarantined);
+    print_entries(coeffsearch::CertStore(dir).list());
     return 0;
   }
 
@@ -1798,25 +1796,14 @@ int cmd_search(const Args& args) {
     std::printf("{\"checked\":%zu,\"verified\":%zu,\"quarantined\":%zu}\n",
                 report.checked, report.verified, report.quarantined);
     print_search_metrics(args);
-    if (report.checked == 0) {
-      std::fprintf(stderr, "FAIL: store has no certificates\n");
-      return 1;
-    }
-    if (report.quarantined > 0 || report.verified != report.checked) {
-      std::fprintf(stderr, "FAIL: %zu of %zu certificate(s) quarantined\n",
-                   report.quarantined, report.checked);
-      return 1;
-    }
+    if (check_failed(report, "certificate")) return 1;
     std::fprintf(stderr, "PASS: %zu certificate(s) re-proven\n",
                  report.verified);
     return 0;
   }
 
   if (action == "gc") {
-    coeffsearch::CertStore store(dir);
-    const auto report = store.gc(args.get("keep-quarantined", 0));
-    std::printf("{\"removed_quarantined\":%zu,\"removed_tmp\":%zu}\n",
-                report.removed_quarantined, report.removed_tmp);
+    print_gc(coeffsearch::CertStore(dir).gc(args.get("keep-quarantined", 0)));
     return 0;
   }
 
