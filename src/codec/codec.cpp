@@ -116,7 +116,7 @@ std::size_t Codec::warm() {
   if (store == nullptr) return 0;
   auto bulk = store->load_all(*code_);
   metrics_.planstore_load_failures.add(bulk.rejected);
-  metrics_.planstore_quarantined.add(bulk.rejected);
+  metrics_.planstore_quarantined.add(bulk.renamed);
   std::size_t warmed = 0;
   for (auto& [scenario, plan] : bulk.plans) {
     metrics_.planstore_loads.add();
@@ -142,13 +142,14 @@ std::size_t Codec::warm(std::span<const FailureScenario> scenarios) {
 std::shared_ptr<const CachedPlan> Codec::load_stored(
     planstore::PlanStore& store, const FailureScenario& scenario) {
   std::shared_ptr<const CachedPlan> loaded;
-  switch (store.load(*code_, scenario, &loaded)) {
+  bool renamed = false;
+  switch (store.load(*code_, scenario, &loaded, nullptr, &renamed)) {
     case planstore::PlanStore::LoadResult::kLoaded:
       metrics_.planstore_loads.add();
       return cache_.insert(plan_key(scenario), std::move(loaded));
     case planstore::PlanStore::LoadResult::kRejected:
       metrics_.planstore_load_failures.add();
-      metrics_.planstore_quarantined.add();
+      if (renamed) metrics_.planstore_quarantined.add();
       break;  // the bad record is gone; the caller rebuilds
     case planstore::PlanStore::LoadResult::kMissing:
       break;

@@ -1,9 +1,13 @@
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
+// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320; zlib's crc32).
 //
-// Integrity check for the persistent plan store's on-disk records
-// (plan_store/): cheap enough to run on every load, strong enough to
-// catch the torn writes and bit rot the zero-trust load path quarantines
-// before re-verification even starts.
+// The integrity check behind every sealed record (common/sealed_dir.h:
+// plan store, certificate store, repair journal) and behind the block
+// digests the resilient ladder, the serving layer and the scrubber verify
+// survivor reads and recovered blocks against. Serving checks every
+// survivor it fetches, so this sits on the request path: inputs of 64
+// bytes or more are folded with PCLMULQDQ when the CPU has it (and
+// PPM_FORCE_ISA is not `scalar`), the byte table covers the rest. Both
+// paths give the same value.
 #pragma once
 
 #include <cstddef>

@@ -330,7 +330,7 @@ std::optional<StoredPlan> deserialize_plan(std::span<const std::uint8_t> bytes,
 
 PlanStore::PlanStore(std::filesystem::path directory)
     : dir_(std::move(directory), std::string(kMagic), kFormatVersion,
-           ".plan") {
+           ".plan", [this] { ++renamed_; }) {
   // SealedDir never throws; this store's contract is to throw when the
   // directory cannot be created.
   std::filesystem::create_directories(dir_.directory());
@@ -421,15 +421,20 @@ SealedDir::Accept PlanStore::reprove(const ErasureCode& code,
 PlanStore::LoadResult PlanStore::load(const ErasureCode& code,
                                       const FailureScenario& scenario,
                                       std::shared_ptr<const CachedPlan>* out,
-                                      std::string* why) {
+                                      std::string* why, bool* renamed) {
   const std::scoped_lock lock(mutex_);
-  return dir_.load(dir_.directory() / record_filename(code, scenario),
-                   reprove(code, &scenario, out, nullptr), why);
+  const std::size_t before = renamed_;
+  const LoadResult result =
+      dir_.load(dir_.directory() / record_filename(code, scenario),
+                reprove(code, &scenario, out, nullptr), why);
+  if (renamed != nullptr) *renamed = renamed_ != before;
+  return result;
 }
 
 PlanStore::BulkLoad PlanStore::load_all(const ErasureCode& code) {
   BulkLoad result;
   const std::scoped_lock lock(mutex_);
+  const std::size_t before = renamed_;
   for (const auto& path : dir_.records(sig_prefix(code))) {
     std::shared_ptr<const CachedPlan> plan;
     FailureScenario scenario;
@@ -440,6 +445,7 @@ PlanStore::BulkLoad PlanStore::load_all(const ErasureCode& code) {
     }
     if (loaded == LoadResult::kRejected) ++result.rejected;
   }
+  result.renamed = renamed_ - before;
   return result;
 }
 

@@ -112,16 +112,19 @@ class PlanStore {
   /// Zero-trust load of the record for (code, scenario): parse, then
   /// planverify::verify_plan + hazard::analyze_plan + profile cross-check.
   /// On success the plan's profile is the freshly recomputed one. `why`,
-  /// when non-null, receives the rejection reason for kRejected.
+  /// when non-null, receives the rejection reason for kRejected;
+  /// `renamed`, when non-null, whether a rejected record was renamed
+  /// aside (false when that failed and it was removed instead).
   LoadResult load(const ErasureCode& code, const FailureScenario& scenario,
                   std::shared_ptr<const CachedPlan>* out,
-                  std::string* why = nullptr);
+                  std::string* why = nullptr, bool* renamed = nullptr);
 
   /// Result of a bulk zero-trust load of every record for `code`.
   struct BulkLoad {
     std::vector<std::pair<FailureScenario, std::shared_ptr<const CachedPlan>>>
         plans;                 ///< every record that re-proved sound
-    std::size_t rejected = 0;  ///< records quarantined during the scan
+    std::size_t rejected = 0;  ///< records that failed the zero-trust gate
+    std::size_t renamed = 0;   ///< of those, records renamed aside
   };
   BulkLoad load_all(const ErasureCode& code);
 
@@ -153,6 +156,7 @@ class PlanStore {
 
   SealedDir dir_;
   mutable std::mutex mutex_;
+  std::size_t renamed_ = 0;  ///< quarantine renames so far (under mutex_)
 };
 
 }  // namespace ppm::planstore

@@ -71,7 +71,6 @@
 #include "serve/async_source.h"
 #include "serve/overlap.h"
 #include "serve/server.h"
-#include "serve/uring_source.h"
 #include "sim/array_sim.h"
 #include "verify_plan/plan_verify.h"
 #include "verify_plan/violation.h"

@@ -7,24 +7,79 @@
 
 namespace ppm::serve {
 
-ThreadedAsyncSource::ThreadedAsyncSource(io::BlockSource& inner,
-                                         unsigned reactor_threads)
-    : inner_(&inner) {
-  if (reactor_threads == 0) reactor_threads = 1;
-  reactors_.reserve(reactor_threads);
-  for (unsigned i = 0; i < reactor_threads; ++i) {
-    reactors_.emplace_back([this] { reactor_loop(); });
+Reactor::Reactor(unsigned threads) {
+  if (threads == 0) threads = 1;
+  running_.assign(threads, nullptr);
+  workers_.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) {
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
-ThreadedAsyncSource::~ThreadedAsyncSource() {
+Reactor::~Reactor() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   work_cv_.notify_all();
-  // jthread members join on destruction; pending ops past stop_ are
-  // abandoned (the owner is gone, nobody could poll their completions).
+  // jthread members join on destruction, before the state they use goes.
+}
+
+void Reactor::post(const Op& op) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    pending_.push_back(op);
+  }
+  work_cv_.notify_one();
+}
+
+void Reactor::cancel(const ThreadedAsyncSource* session) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  std::erase_if(pending_,
+                [session](const Op& op) { return op.session == session; });
+  idle_cv_.wait(lock, [this, session] {
+    return std::find(running_.begin(), running_.end(), session) ==
+           running_.end();
+  });
+}
+
+void Reactor::worker_loop(std::size_t worker) {
+  for (;;) {
+    Op op;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
+      if (stop_) return;
+      op = pending_.front();
+      pending_.pop_front();
+      running_[worker] = op.session;
+    }
+    const Timer clock;
+    const io::ReadStatus status =
+        op.session->inner_->read(op.block, op.dst, op.bytes);
+    serve_metrics().read_seconds.record_nanos(
+        static_cast<std::uint64_t>(clock.nanos()));
+    if (status != io::ReadStatus::kOk) serve_metrics().reads_failed.add();
+    const std::function<void()> on_drained =
+        op.session->finish(ReadCompletion{op.token, op.block, status});
+    {
+      // From here on the session may be destroyed (cancel() returns).
+      const std::lock_guard<std::mutex> lock(mutex_);
+      running_[worker] = nullptr;
+      idle_cv_.notify_all();
+    }
+    if (on_drained) on_drained();
+  }
+}
+
+ThreadedAsyncSource::ThreadedAsyncSource(Reactor& reactor,
+                                         io::BlockSource& inner)
+    : reactor_(&reactor), inner_(&inner) {}
+
+ThreadedAsyncSource::~ThreadedAsyncSource() {
+  // Queued reads are abandoned (nobody could poll them); running ones
+  // write into caller buffers, so they must finish first.
+  reactor_->cancel(this);
 }
 
 std::uint64_t ThreadedAsyncSource::submit(std::size_t block,
@@ -34,10 +89,10 @@ std::uint64_t ThreadedAsyncSource::submit(std::size_t block,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     token = next_token_++;
-    pending_.push_back(Op{token, block, dst, bytes});
     ++in_flight_;
+    ++unfinished_;
   }
-  work_cv_.notify_one();
+  reactor_->post(Reactor::Op{this, token, block, dst, bytes});
   serve_metrics().reads_submitted.add();
   return token;
 }
@@ -62,27 +117,31 @@ std::size_t ThreadedAsyncSource::in_flight() const {
   return in_flight_;
 }
 
-void ThreadedAsyncSource::reactor_loop() {
-  for (;;) {
-    Op op;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
-      if (stop_) return;
-      op = pending_.front();
-      pending_.pop_front();
+void ThreadedAsyncSource::detach(std::function<void()> on_drained) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    detached_ = true;
+    if (unfinished_ > 0) {
+      on_drained_ = std::move(on_drained);
+      return;
     }
-    const Timer clock;
-    const io::ReadStatus status = inner_->read(op.block, op.dst, op.bytes);
-    serve_metrics().read_seconds.record_nanos(
-        static_cast<std::uint64_t>(clock.nanos()));
-    if (status != io::ReadStatus::kOk) serve_metrics().reads_failed.add();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      done_.push_back(ReadCompletion{op.token, op.block, status});
-    }
-    done_cv_.notify_one();
   }
+  on_drained();  // last: it may destroy this session
+}
+
+std::function<void()> ThreadedAsyncSource::finish(
+    const ReadCompletion& done) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --unfinished_;
+    if (detached_) {
+      return unfinished_ == 0 ? std::move(on_drained_)
+                              : std::function<void()>{};
+    }
+    done_.push_back(done);
+  }
+  done_cv_.notify_one();
+  return {};
 }
 
 }  // namespace ppm::serve

@@ -10,20 +10,20 @@
 // inputs arrive and lets the hedging policy duplicate reads that are
 // taking too long.
 //
-// Two backends:
-//  * ThreadedAsyncSource (here) — a thread-backed reactor multiplexing
-//    reads over any concurrency-tolerant io::BlockSource. Works
-//    everywhere, no kernel support needed; this is the default.
-//  * UringFileSource (uring_source.h) — io_uring-backed file reads,
-//    compiled only when <liburing.h> is present (PPM_WITH_IOURING).
+// The backend is thread-backed: a Reactor is a pool of threads running
+// plain blocking reads, and a ThreadedAsyncSource is one decode's session
+// on it, multiplexing reads over any concurrency-tolerant io::BlockSource.
+// A DecodeServer owns one reactor for its lifetime and opens a session per
+// decode; a standalone decode_overlapped builds a private one.
 //
 // Concurrency contract: submit() and poll() are individually thread-safe,
 // but completions are delivered to whichever caller polls — a source is
 // designed for ONE logical consumer (the overlap event loop) at a time.
 // Destination buffers are caller-owned and must stay valid until the
-// attempt's completion has been polled; distinct in-flight attempts must
-// use distinct buffers (the hedging layer gives every attempt its own
-// scratch buffer for exactly this reason).
+// attempt's completion has been polled (or, after detach(), until the
+// drain hook runs); distinct in-flight attempts must use distinct buffers
+// (the hedging layer gives every attempt its own scratch buffer for
+// exactly this reason).
 #pragma once
 
 #include <chrono>
@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -74,17 +75,54 @@ class AsyncBlockSource {
   virtual std::size_t in_flight() const = 0;
 };
 
-/// Default backend: `reactor_threads` workers multiplex submitted reads
-/// over `inner` via plain blocking read() calls. `inner` must tolerate
-/// concurrent read() with distinct destination buffers (see
-/// io/block_source.h) and must outlive this source. Up to
-/// `reactor_threads` reads make wall-clock progress concurrently — a
-/// straggler occupies one worker for its delay while the rest keep
-/// draining the queue.
+class ThreadedAsyncSource;
+
+/// `threads` workers running the reads its sessions submit, in submission
+/// order across all sessions. Up to `threads` reads make wall-clock
+/// progress at once — a straggler occupies one worker for its delay while
+/// the rest keep draining the queue. Every session must be destroyed
+/// before its reactor.
+class Reactor {
+ public:
+  explicit Reactor(unsigned threads);
+  ~Reactor();  ///< joins the workers
+
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
+
+ private:
+  friend class ThreadedAsyncSource;
+
+  struct Op {
+    ThreadedAsyncSource* session = nullptr;
+    std::uint64_t token = 0;
+    std::size_t block = 0;
+    std::uint8_t* dst = nullptr;
+    std::size_t bytes = 0;
+  };
+
+  void post(const Op& op);
+  /// Drop `session`'s queued ops and wait until none of its ops runs.
+  void cancel(const ThreadedAsyncSource* session);
+  void worker_loop(std::size_t worker);
+
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  ///< workers wait for queued ops
+  std::condition_variable idle_cv_;  ///< cancel() waits for running ops
+  std::deque<Op> pending_;
+  /// Per worker: the session whose op it is running, or nullptr.
+  std::vector<const ThreadedAsyncSource*> running_;
+  bool stop_ = false;
+  std::vector<std::jthread> workers_;  ///< last member: joins first
+};
+
+/// One decode's session on a Reactor: reads of `inner`, which must
+/// tolerate concurrent read() with distinct destination buffers (see
+/// io/block_source.h) and outlive every read submitted here. Destroying
+/// the session drops its queued reads and waits out its running ones.
 class ThreadedAsyncSource : public AsyncBlockSource {
  public:
-  explicit ThreadedAsyncSource(io::BlockSource& inner,
-                               unsigned reactor_threads = 4);
+  ThreadedAsyncSource(Reactor& reactor, io::BlockSource& inner);
   ~ThreadedAsyncSource() override;
 
   std::size_t block_count() const override { return inner_->block_count(); }
@@ -96,26 +134,29 @@ class ThreadedAsyncSource : public AsyncBlockSource {
                    std::chrono::nanoseconds wait) override;
   std::size_t in_flight() const override;
 
+  /// Stop consuming: nothing is polled or submitted after this call.
+  /// `on_drained` runs once every attempt submitted so far has finished
+  /// reading — on the reactor worker that finished the last one, or
+  /// inline when none is left. It may destroy this session.
+  void detach(std::function<void()> on_drained);
+
  private:
-  struct Op {
-    std::uint64_t token = 0;
-    std::size_t block = 0;
-    std::uint8_t* dst = nullptr;
-    std::size_t bytes = 0;
-  };
+  friend class Reactor;
 
-  void reactor_loop();
+  /// A worker finished `done`. Returns the drain hook when that was the
+  /// last unfinished read of a detached session; the worker runs it.
+  std::function<void()> finish(const ReadCompletion& done);
 
+  Reactor* reactor_;
   io::BlockSource* inner_;
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< reactors wait for pending ops
   std::condition_variable done_cv_;  ///< pollers wait for completions
-  std::deque<Op> pending_;
   std::vector<ReadCompletion> done_;
   std::uint64_t next_token_ = 1;
-  std::size_t in_flight_ = 0;  ///< submitted, completion not yet polled
-  bool stop_ = false;
-  std::vector<std::jthread> reactors_;  ///< last member: joins first
+  std::size_t in_flight_ = 0;   ///< submitted, completion not yet polled
+  std::size_t unfinished_ = 0;  ///< submitted, read not yet finished
+  bool detached_ = false;
+  std::function<void()> on_drained_;
 };
 
 }  // namespace ppm::serve

@@ -38,16 +38,27 @@ struct Attempt {
   bool hedge = false;
 };
 
-}  // namespace
+/// Wait until every attempt submitted on `async` has completed,
+/// discarding the completions.
+void drain(AsyncBlockSource& async) {
+  std::vector<ReadCompletion> sink;
+  while (async.in_flight() > 0) {
+    sink.clear();
+    async.poll(sink, std::chrono::milliseconds{5});
+  }
+}
 
-OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
-                                io::BlockSource& source,
-                                std::uint8_t* const* blocks,
-                                std::size_t block_bytes,
-                                const OverlapOptions& options,
-                                std::span<const std::uint32_t> expected_crc,
-                                AsyncBlockSource* async) {
-  const Timer clock;
+/// The fast path, or the fallback ladder, on `async`. Returns once the
+/// result is known, leaving total_ns to the caller: attempts the decode
+/// no longer needs may still be in flight on `async`, writing into
+/// `scratch`, which must outlive them. Every group solve has finished.
+OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
+                         io::BlockSource& source, std::uint8_t* const* blocks,
+                         std::size_t block_bytes, const OverlapOptions& options,
+                         std::span<const std::uint32_t> expected_crc,
+                         AsyncBlockSource& async,
+                         std::vector<std::vector<std::uint8_t>>& scratch,
+                         const Timer& clock) {
   OverlapResult out;
   ServeMetrics& metrics = serve_metrics();
 
@@ -62,7 +73,10 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
     return std::chrono::nanoseconds{left > 0 ? left : 1};
   };
 
+  // The ladder reads `source` itself, so the fast path's attempts must
+  // have finished first; callers wait for their group solves.
   const auto fall_back = [&]() -> OverlapResult& {
+    drain(async);
     out.fallback = true;
     metrics.fallbacks.add();
     ResilienceOptions ropts = options.resilience;
@@ -70,7 +84,6 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
     out.resilient = codec.decode_resilient(scenario, source, blocks,
                                            block_bytes, ropts, expected_crc);
     out.complete = out.resilient.complete;
-    out.total_ns = clock.nanos();
     return out;
   };
 
@@ -78,18 +91,10 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   if (plan == nullptr) return fall_back();
   const hazard::PlanReadiness ready = hazard::plan_readiness(*plan);
 
-  std::unique_ptr<ThreadedAsyncSource> owned_async;
-  if (async == nullptr) {
-    owned_async = std::make_unique<ThreadedAsyncSource>(
-        source, options.reactor_threads);
-    async = owned_async.get();
-  }
-
   const std::size_t block_count = source.block_count();
   const bool has_digests = !expected_crc.empty();
   std::vector<BlockFetch> fetch(block_count);
   std::unordered_map<std::uint64_t, Attempt> attempts;
-  std::vector<std::vector<std::uint8_t>> scratch;
   std::vector<std::size_t> free_scratch;
 
   const auto issue = [&](std::size_t block, bool hedge) {
@@ -103,7 +108,7 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
     }
     const std::int64_t now = clock.nanos();
     const std::uint64_t token =
-        async->submit(block, scratch[idx].data(), block_bytes);
+        async.submit(block, scratch[idx].data(), block_bytes);
     attempts.emplace(token, Attempt{block, idx, now, hedge});
     BlockFetch& f = fetch[block];
     ++f.outstanding;
@@ -113,17 +118,6 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
       ++f.hedges;
       ++out.hedges_launched;
       metrics.hedges_launched.add();
-    }
-  };
-
-  // Completions can outlive this frame only if we leave attempts in
-  // flight, so every exit path drains the reactor before the scratch
-  // buffers (and `async` itself, when owned) are destroyed.
-  const auto drain_async = [&]() {
-    std::vector<ReadCompletion> sink;
-    while (async->in_flight() > 0) {
-      sink.clear();
-      async->poll(sink, std::chrono::milliseconds{5});
     }
   };
 
@@ -196,7 +190,6 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   std::size_t needed = 0;
   for (const std::size_t b : ready.all_inputs) {
     if (b >= block_count) {  // malformed plan — let the ladder classify it
-      drain_async();
       wait_groups();
       return fall_back();
     }
@@ -242,7 +235,7 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   std::vector<ReadCompletion> completions;
   while (arrived < needed && !fetch_failed && !deadline_passed()) {
     completions.clear();
-    async->poll(completions, options.poll_interval);
+    async.poll(completions, options.poll_interval);
     for (const ReadCompletion& c : completions) {
       const auto it = attempts.find(c.token);
       if (it == attempts.end()) continue;  // not ours (cannot happen)
@@ -305,7 +298,6 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   }
 
   if (arrived < needed) {  // fetch failure or deadline — degrade
-    drain_async();
     wait_groups();
     return fall_back();
   }
@@ -315,7 +307,6 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
     out.rest_solve_start_ns = clock.nanos();
     plan->rest()->execute(blocks, block_bytes, &out.stats);
   }
-  drain_async();  // late hedge losers may still be in flight
 
   // VERIFY rung: recovered blocks must match their digests; a mismatch
   // is handed to the ladder, which re-reads and classifies corruption.
@@ -352,8 +343,51 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
         std::max<std::int64_t>(0, solve_end - out.first_solve_start_ns)));
   }
   out.complete = true;
-  out.total_ns = clock.nanos();
   metrics.overlapped_decodes.add();
+  return out;  // late hedge losers may still be in flight
+}
+
+}  // namespace
+
+OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
+                                io::BlockSource& source,
+                                std::uint8_t* const* blocks,
+                                std::size_t block_bytes,
+                                const OverlapOptions& options,
+                                std::span<const std::uint32_t> expected_crc,
+                                AsyncBlockSource* async) {
+  if (async == nullptr) {
+    Reactor reactor(options.reactor_threads);
+    OverlapTail tail;
+    OverlapResult out =
+        decode_overlapped(codec, scenario, source, blocks, block_bytes,
+                          options, expected_crc, reactor, tail);
+    drain(*tail.session);
+    out.total_ns = tail.clock.nanos();
+    return out;
+  }
+  const Timer clock;
+  std::vector<std::vector<std::uint8_t>> scratch;
+  OverlapResult out = run_decode(codec, scenario, source, blocks, block_bytes,
+                                 options, expected_crc, *async, scratch, clock);
+  drain(*async);
+  out.total_ns = clock.nanos();
+  return out;
+}
+
+OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
+                                io::BlockSource& source,
+                                std::uint8_t* const* blocks,
+                                std::size_t block_bytes,
+                                const OverlapOptions& options,
+                                std::span<const std::uint32_t> expected_crc,
+                                Reactor& reactor, OverlapTail& tail) {
+  tail.clock.reset();
+  tail.session = std::make_unique<ThreadedAsyncSource>(reactor, source);
+  OverlapResult out =
+      run_decode(codec, scenario, source, blocks, block_bytes, options,
+                 expected_crc, *tail.session, tail.scratch, tail.clock);
+  out.total_ns = tail.clock.nanos();  // so far; the caller stamps the drain
   return out;
 }
 

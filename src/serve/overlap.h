@@ -32,11 +32,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "codec/codec.h"
 #include "codec/resilient.h"
+#include "common/timer.h"
 #include "serve/async_source.h"
 
 namespace ppm {
@@ -67,8 +69,9 @@ struct OverlapOptions {
   HedgePolicy hedge;
   /// Retry budget, deadline and (for the fallback ladder) backoff.
   ResilienceOptions resilience;
-  /// Reactor threads when decode_overlapped builds its own
-  /// ThreadedAsyncSource (a caller-supplied AsyncBlockSource wins).
+  /// Reactor threads per decode: a standalone decode_overlapped builds a
+  /// private Reactor of this many (a caller-supplied AsyncBlockSource
+  /// wins); a DecodeServer's shared one has dispatchers × this many.
   unsigned reactor_threads = 4;
   /// Solver pool for the group fan-out; nullptr = ThreadPool::shared().
   /// Used only when the plan's profile is hazard_free with >= 2 groups —
@@ -107,14 +110,15 @@ struct OverlapResult {
   std::int64_t first_solve_start_ns = -1;
   std::int64_t last_read_complete_ns = -1;  ///< last needed input landed
   std::int64_t rest_solve_start_ns = -1;
-  /// Wall time of the whole call. Includes the final reactor drain:
-  /// abandoned attempts (hedge losers, reads the decode no longer needs)
-  /// write into buffers this frame owns, so the thread-backed backend
-  /// must let them finish before returning. A hedge win therefore shows
-  /// up as an early last_read_complete_ns / rest_solve_start_ns — the
-  /// solves and verification overlap the straggler's tail — while
-  /// total_ns stays pinned to the slowest issued read. An io_uring
-  /// backend with read cancellation could cut that tail too.
+  /// Wall time from the decode's start until every read it issued has
+  /// finished. Abandoned attempts (hedge losers, reads the decode no
+  /// longer needs) write into scratch buffers the decode owns, so it is
+  /// not over until they land. A hedge win therefore shows up as an early
+  /// last_read_complete_ns / rest_solve_start_ns — the solves and
+  /// verification overlap the straggler's tail — while total_ns stays
+  /// pinned to the slowest issued read. decode_overlapped waits for that
+  /// tail before it returns; a DecodeServer hands the tail off and stamps
+  /// total_ns when it drains, so its dispatcher moves on meanwhile.
   std::int64_t total_ns = 0;
   std::vector<GroupTiming> groups;
 
@@ -123,9 +127,10 @@ struct OverlapResult {
 
 /// Decode one stripe with concurrent, hedged survivor fetch and
 /// readiness-overlapped group solves. `source` is the fallback ladder's
-/// (and, when `async` is null, the reactor's) read path; `async`, when
-/// given, must wrap the same underlying data. `blocks`/`block_bytes` and
-/// `expected_crc` follow Codec::decode_resilient's contract.
+/// (and, when `async` is null, a private reactor's) read path; `async`,
+/// when given, must wrap the same underlying data. `blocks`/`block_bytes`
+/// and `expected_crc` follow Codec::decode_resilient's contract. Returns
+/// only after every read it issued has finished.
 OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
                                 io::BlockSource& source,
                                 std::uint8_t* const* blocks,
@@ -133,5 +138,29 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
                                 const OverlapOptions& options = {},
                                 std::span<const std::uint32_t> expected_crc = {},
                                 AsyncBlockSource* async = nullptr);
+
+/// What a served decode leaves behind when it returns: the reads it no
+/// longer needs (hedge losers, stragglers a hedge beat), still in flight
+/// on their session and writing into the scratch buffers held here.
+struct OverlapTail {
+  Timer clock;  ///< started with the decode; total_ns reads it at drain
+  std::vector<std::vector<std::uint8_t>> scratch;
+  std::unique_ptr<ThreadedAsyncSource> session;  ///< last: destroyed first
+};
+
+/// The served form of decode_overlapped: reads run on a new session of
+/// `reactor`, which `tail` receives. Returns as soon as the faulty blocks
+/// are recovered and CRC-verified (or the fallback ladder has finished),
+/// with the attempts it no longer needs still in flight. `blocks` are
+/// final then, but `source` must stay valid, and `tail` must be kept,
+/// until the session drains (ThreadedAsyncSource::detach); total_ns is
+/// the caller's to stamp at that point.
+OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
+                                io::BlockSource& source,
+                                std::uint8_t* const* blocks,
+                                std::size_t block_bytes,
+                                const OverlapOptions& options,
+                                std::span<const std::uint32_t> expected_crc,
+                                Reactor& reactor, OverlapTail& tail);
 
 }  // namespace ppm::serve

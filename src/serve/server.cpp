@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/metrics.h"
@@ -7,7 +8,10 @@
 namespace ppm::serve {
 
 DecodeServer::DecodeServer(Codec& codec, ServerOptions options)
-    : codec_(&codec), options_(std::move(options)) {
+    : codec_(&codec),
+      options_(std::move(options)),
+      reactor_(std::max(options_.dispatchers, 1u) *
+               options_.overlap.reactor_threads) {
   if (options_.queue_depth == 0) options_.queue_depth = 1;
   if (options_.dispatchers == 0) options_.dispatchers = 1;
   dispatchers_.reserve(options_.dispatchers);
@@ -49,6 +53,8 @@ void DecodeServer::shutdown() {
   for (auto& d : dispatchers_) {
     if (d.joinable()) d.join();
   }
+  std::unique_lock<std::mutex> lock(mutex_);
+  drained_cv_.wait(lock, [this] { return draining_.empty(); });
 }
 
 std::size_t DecodeServer::depth() const {
@@ -92,19 +98,45 @@ void DecodeServer::dispatcher_loop() {
       metrics.queue_seconds.record_nanos(
           static_cast<std::uint64_t>(clock_.nanos() - p.enqueue_ns));
       const ServeRequest& r = p.request;
-      OverlapResult result;
       if (r.source == nullptr || r.blocks == nullptr) {
-        result.complete = false;  // malformed request
-      } else {
-        result = decode_overlapped(*codec_, r.scenario, *r.source, r.blocks,
-                                   r.block_bytes, options_.overlap,
-                                   r.expected_crc);
+        metrics.request_seconds.record_nanos(
+            static_cast<std::uint64_t>(clock_.nanos() - p.enqueue_ns));
+        p.promise.set_value(OverlapResult{});  // malformed: incomplete
+        continue;
       }
-      metrics.request_seconds.record_nanos(
-          static_cast<std::uint64_t>(clock_.nanos() - p.enqueue_ns));
-      p.promise.set_value(std::move(result));
+      OverlapTail tail;
+      OverlapResult result = decode_overlapped(
+          *codec_, r.scenario, *r.source, r.blocks, r.block_bytes,
+          options_.overlap, r.expected_crc, reactor_, tail);
+      // Hand the reads still in flight to the server and move on; the
+      // future resolves when the last of them lands.
+      std::list<Draining>::iterator it;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        it = draining_.insert(
+            draining_.end(),
+            Draining{std::move(p), std::move(result), std::move(tail)});
+      }
+      it->tail.session->detach([this, it] { resolve(it); });
     }
   }
+}
+
+void DecodeServer::resolve(std::list<Draining>::iterator it) {
+  it->result.total_ns = it->tail.clock.nanos();
+  serve_metrics().request_seconds.record_nanos(
+      static_cast<std::uint64_t>(clock_.nanos() - it->pending.enqueue_ns));
+  it->pending.promise.set_value(std::move(it->result));
+  std::list<Draining> done;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    done.splice(done.end(), draining_, it);
+    // Notify under the lock: once shutdown() sees the list empty the
+    // server may be destroyed, condition variable included.
+    if (draining_.empty()) drained_cv_.notify_all();
+  }
+  // `done` goes here, session and scratch with it; nothing of the
+  // server is touched after the lock is released.
 }
 
 }  // namespace ppm::serve

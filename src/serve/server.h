@@ -15,10 +15,19 @@
 //    fetched/verified once through the codec's cache and each member is
 //    then one region pass over its own stripe — the decode_batch idea,
 //    applied across independent requests.
-//  * Completion — every admitted request's future is eventually
-//    fulfilled, including on shutdown (the queue drains before the
-//    dispatchers exit). Futures carry the full OverlapResult, fallback
-//    ladder report included.
+//  * Reads — the server owns one Reactor of dispatchers ×
+//    overlap.reactor_threads threads for its lifetime; each decode runs
+//    its survivor reads on its own session of it, so no request starts
+//    threads.
+//  * Completion — once a decode's faulty blocks are recovered and
+//    verified, its dispatcher hands the reads still in flight (hedge
+//    losers, stragglers a hedge beat) off to the server and moves on to
+//    the next request. The future resolves when that request's own last
+//    read lands, on the reactor worker that finished it, never behind
+//    another request's tail. Every admitted future is eventually
+//    fulfilled, including on shutdown (the queue and every tail drain
+//    first). Futures carry the full OverlapResult, fallback ladder report
+//    included.
 //
 // Buffers, the block source and the expected-CRC span named in a request
 // are caller-owned and must stay valid until its future resolves.
@@ -29,6 +38,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -44,7 +54,8 @@ namespace ppm::serve {
 struct ServerOptions {
   /// Admission watermark: submit() rejects once this many requests wait.
   std::size_t queue_depth = 64;
-  /// Dispatcher threads (each runs one batch at a time, end to end).
+  /// Dispatcher threads (each runs one batch at a time, up to the
+  /// verified recovery of each member).
   unsigned dispatchers = 2;
   /// Claim same-scenario requests together (one plan fetch, N passes).
   bool batch_by_plan = true;
@@ -65,7 +76,7 @@ struct ServeRequest {
 class DecodeServer {
  public:
   DecodeServer(Codec& codec, ServerOptions options = {});
-  ~DecodeServer();  ///< shutdown(): drains the queue, joins dispatchers
+  ~DecodeServer();  ///< shutdown(): drains the queue and every tail
 
   DecodeServer(const DecodeServer&) = delete;
   DecodeServer& operator=(const DecodeServer&) = delete;
@@ -75,7 +86,8 @@ class DecodeServer {
   /// is shutting down.
   std::optional<std::future<OverlapResult>> submit(ServeRequest request);
 
-  /// Stop admitting, drain every queued request, join the dispatchers.
+  /// Stop admitting, drain every queued request, join the dispatchers,
+  /// then wait until every tail has drained and its future resolved.
   /// Idempotent.
   void shutdown();
 
@@ -89,14 +101,27 @@ class DecodeServer {
     std::int64_t enqueue_ns = 0;
   };
 
+  /// A decoded request whose session still has reads in flight.
+  struct Draining {
+    Pending pending;
+    OverlapResult result;
+    OverlapTail tail;
+  };
+
   void dispatcher_loop();
+  /// Resolve `it` once its session has drained; runs on the reactor
+  /// worker that finished the last read, or on the dispatcher.
+  void resolve(std::list<Draining>::iterator it);
 
   Codec* codec_;
   ServerOptions options_;
   Timer clock_;
+  Reactor reactor_;  ///< every decode's session runs here; outlives them
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;          ///< dispatchers wait for requests
+  std::condition_variable drained_cv_;  ///< shutdown() waits for tails
   std::deque<Pending> queue_;
+  std::list<Draining> draining_;  ///< handed-off tails, not yet drained
   bool stop_ = false;
   std::vector<std::jthread> dispatchers_;  ///< last member: joins first
 };

@@ -242,6 +242,39 @@ TEST(PlanStore, CorruptPayloadIsQuarantinedAndRebuilt) {
   expect_plan_decodes(code, sc, *plan);
 }
 
+TEST(PlanStore, BlockedQuarantineIsNotCounted) {
+  const SDCode code = test_code();
+  const TempDir dir("blocked");
+  const FailureScenario sc = disk_failure(code, 1);
+  Codec writer(code);
+  writer.attach_store(dir.path().string());
+  ASSERT_NE(writer.plan_for(sc), nullptr);
+
+  const fs::path record =
+      dir.path() / planstore::PlanStore::record_filename(code, sc);
+  std::string bytes = test::read_file(record);
+  bytes.back() ^= 0x01;  // inside the CRC-protected payload
+  // A directory on the quarantine name makes the rename fail, so the
+  // rejected record is removed instead: a load failure, not a quarantine.
+  fs::create_directories(fs::path(record.string() + ".quarantined") / "x");
+
+  test::write_file(record, bytes);
+  Codec reader(code);
+  reader.attach_store(dir.path().string());
+  ASSERT_NE(reader.plan_for(sc), nullptr);  // rebuilt and re-persisted
+  EXPECT_EQ(reader.metrics().planstore_load_failures.value(), 1u);
+  EXPECT_EQ(reader.metrics().planstore_quarantined.value(), 0u);
+
+  test::write_file(record, bytes);
+  Codec cold(code);
+  cold.attach_store(dir.path().string());
+  EXPECT_EQ(cold.warm(), 0u);
+  EXPECT_EQ(cold.metrics().planstore_load_failures.value(), 1u);
+  EXPECT_EQ(cold.metrics().planstore_quarantined.value(), 0u);
+  EXPECT_FALSE(fs::exists(record));
+  EXPECT_TRUE(fs::is_directory(record.string() + ".quarantined"));
+}
+
 TEST(PlanStore, FutureFormatVersionIsQuarantined) {
   const SDCode code = test_code();
   const TempDir dir("version");

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -21,7 +22,6 @@
 #include "io/fault_injection.h"
 #include "serve/overlap.h"
 #include "serve/server.h"
-#include "serve/uring_source.h"
 #include "test_util.h"
 #include "workload/scenario_gen.h"
 
@@ -60,7 +60,8 @@ TEST(AsyncSource, CompletionsCarryTheRightBytes) {
   }
   const auto ptrs = snapshot_ptrs(data, kBlocks, kBytes);
   MemoryBlockSource inner(ptrs.data(), kBlocks, kBytes);
-  serve::ThreadedAsyncSource async(inner, 3);
+  serve::Reactor reactor(3);
+  serve::ThreadedAsyncSource async(reactor, inner);
   EXPECT_EQ(async.block_count(), kBlocks);
   EXPECT_EQ(async.block_bytes(), kBytes);
 
@@ -90,7 +91,8 @@ TEST(AsyncSource, FailedReadsCompleteWithFailedStatus) {
   std::vector<std::uint8_t> data(64);
   const std::uint8_t* ptr = data.data();
   MemoryBlockSource inner(&ptr, 1, 64);
-  serve::ThreadedAsyncSource async(inner, 1);
+  serve::Reactor reactor(1);
+  serve::ThreadedAsyncSource async(reactor, inner);
   std::vector<std::uint8_t> dst(64);
   const std::uint64_t token = async.submit(7, dst.data(), 64);  // no block 7
   std::vector<serve::ReadCompletion> done;
@@ -104,21 +106,107 @@ TEST(AsyncSource, PollWithNothingInFlightReturnsImmediately) {
   std::vector<std::uint8_t> data(64);
   const std::uint8_t* ptr = data.data();
   MemoryBlockSource inner(&ptr, 1, 64);
-  serve::ThreadedAsyncSource async(inner, 2);
+  serve::Reactor reactor(2);
+  serve::ThreadedAsyncSource async(reactor, inner);
   std::vector<serve::ReadCompletion> done;
   EXPECT_EQ(async.poll(done, std::chrono::seconds{10}), 0u);
   EXPECT_TRUE(done.empty());
 }
 
-TEST(AsyncSource, UringBackendDegradesGracefully) {
-  // Without liburing the factory reports unavailable and returns null —
-  // callers need no #ifdef. With it, a bogus path still fails cleanly.
-  if (!serve::uring_available()) {
-    EXPECT_EQ(serve::make_uring_source("/nonexistent", 4, 512), nullptr);
-  } else {
-    EXPECT_EQ(serve::make_uring_source("/nonexistent/path/x", 4, 512),
-              nullptr);
+TEST(AsyncSource, SessionsOnOneReactorSeeOnlyTheirOwnCompletions) {
+  const std::size_t kBytes = 96;
+  std::vector<std::uint8_t> a_data(kBytes, 0xA1);
+  std::vector<std::uint8_t> b_data(kBytes, 0xB2);
+  const std::uint8_t* a_ptr = a_data.data();
+  const std::uint8_t* b_ptr = b_data.data();
+  MemoryBlockSource a_inner(&a_ptr, 1, kBytes);
+  MemoryBlockSource b_inner(&b_ptr, 1, kBytes);
+  serve::Reactor reactor(2);
+  serve::ThreadedAsyncSource a(reactor, a_inner);
+  serve::ThreadedAsyncSource b(reactor, b_inner);
+
+  const std::size_t kReads = 8;
+  std::vector<std::vector<std::uint8_t>> a_dst(kReads);
+  std::vector<std::vector<std::uint8_t>> b_dst(kReads);
+  for (std::size_t i = 0; i < kReads; ++i) {
+    a_dst[i].resize(kBytes);
+    b_dst[i].resize(kBytes);
+    a.submit(0, a_dst[i].data(), kBytes);
+    b.submit(0, b_dst[i].data(), kBytes);
   }
+  std::vector<serve::ReadCompletion> a_done;
+  std::vector<serve::ReadCompletion> b_done;
+  while (a_done.size() < kReads) a.poll(a_done, std::chrono::milliseconds{50});
+  while (b_done.size() < kReads) b.poll(b_done, std::chrono::milliseconds{50});
+  EXPECT_EQ(a.in_flight(), 0u);
+  EXPECT_EQ(b.in_flight(), 0u);
+  EXPECT_EQ(a_done.size(), kReads);
+  EXPECT_EQ(b_done.size(), kReads);
+  for (std::size_t i = 0; i < kReads; ++i) {
+    EXPECT_EQ(a_dst[i], a_data);
+    EXPECT_EQ(b_dst[i], b_data);
+  }
+}
+
+TEST(AsyncSource, DetachRunsTheHookWhenTheLastReadFinishes) {
+  std::vector<std::uint8_t> data(64, 7);
+  const std::uint8_t* ptr = data.data();
+  MemoryBlockSource inner(&ptr, 1, 64);
+  FaultInjectingSource slow(inner);
+  FaultSpec straggler;
+  straggler.delay = std::chrono::milliseconds{60};
+  slow.set_fault(0, straggler);
+  serve::Reactor reactor(2);
+
+  // Nothing in flight: the hook runs inline.
+  {
+    serve::ThreadedAsyncSource idle(reactor, inner);
+    bool ran = false;
+    idle.detach([&ran] { ran = true; });
+    EXPECT_TRUE(ran);
+  }
+
+  // A straggler in flight: the hook waits for it, then may destroy the
+  // session it was handed from.
+  auto session = std::make_unique<serve::ThreadedAsyncSource>(reactor, slow);
+  std::vector<std::uint8_t> dst(64);
+  session->submit(0, dst.data(), 64);
+  std::promise<void> drained;
+  std::future<void> done = drained.get_future();
+  serve::ThreadedAsyncSource* raw = session.release();
+  raw->detach([raw, &drained] {
+    delete raw;
+    drained.set_value();
+  });
+  EXPECT_EQ(done.wait_for(std::chrono::milliseconds{20}),
+            std::future_status::timeout);
+  EXPECT_EQ(done.wait_for(std::chrono::seconds{5}),
+            std::future_status::ready);
+  EXPECT_EQ(dst, data);
+}
+
+TEST(AsyncSource, DestroyingASessionDropsItsQueuedReads) {
+  std::vector<std::uint8_t> data(64, 3);
+  const std::uint8_t* ptr = data.data();
+  MemoryBlockSource inner(&ptr, 1, 64);
+  FaultInjectingSource slow(inner);
+  FaultSpec straggler;
+  straggler.delay = std::chrono::milliseconds{200};
+  straggler.delay_reads = 1;
+  slow.set_fault(0, straggler);
+  serve::Reactor reactor(1);
+  std::vector<std::vector<std::uint8_t>> dst(4, std::vector<std::uint8_t>(64));
+  {
+    serve::ThreadedAsyncSource session(reactor, slow);
+    for (auto& d : dst) session.submit(0, d.data(), 64);
+    // Once the lone worker is inside the first (slow) read, the other
+    // three are still queued behind it.
+    while (slow.reads_attempted() == 0) std::this_thread::yield();
+  }
+  // The running read finished before the session went; the queued ones
+  // never ran.
+  EXPECT_EQ(slow.reads_attempted(), 1u);
+  EXPECT_EQ(dst[0], data);
 }
 
 // ---- readiness sets from the hazard DAG ---------------------------------
@@ -563,6 +651,136 @@ TEST(DecodeServer, ShutdownDrainsAdmittedRequests) {
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().complete);
   for (const auto& s : served) EXPECT_TRUE(s->stripe.equals(snap));
+}
+
+/// Counts the reads of `inner` executing right now.
+class CountingSource final : public io::BlockSource {
+ public:
+  explicit CountingSource(io::BlockSource& inner) : inner_(&inner) {}
+  std::size_t block_count() const override { return inner_->block_count(); }
+  std::size_t block_bytes() const override { return inner_->block_bytes(); }
+  io::ReadStatus read(std::size_t block, std::uint8_t* dst,
+                      std::size_t bytes) override {
+    executing_.fetch_add(1);
+    const io::ReadStatus status = inner_->read(block, dst, bytes);
+    executing_.fetch_sub(1);
+    return status;
+  }
+  int executing() const { return executing_.load(); }
+
+ private:
+  io::BlockSource* inner_;
+  std::atomic<int> executing_{0};
+};
+
+/// One dispatcher, request A whose first read of one survivor sleeps
+/// 300 ms (hedging clips it, so A's decode returns early and leaves that
+/// read as its tail), and a clean request B.
+struct TailFixture {
+  static constexpr auto kStraggle = std::chrono::milliseconds{300};
+
+  TailFixture()
+      : code(6, 3, 8),
+        codec(code),
+        reference(code, 512),
+        snap(test::fill_and_encode(code, reference, 12)),
+        ptrs(snapshot_ptrs(snap, code.total_blocks(), 512)),
+        a(code, 512, ptrs, a_sc),
+        b(code, 512, ptrs, b_sc),
+        counted(a.source) {
+    const auto plan = codec.plan_for(a_sc);
+    const hazard::PlanReadiness ready = hazard::plan_readiness(*plan);
+    FaultSpec straggler;
+    straggler.delay = kStraggle;
+    straggler.delay_reads = 1;
+    a.source.set_fault(ready.all_inputs.front(), straggler);
+    options.dispatchers = 1;
+  }
+
+  static serve::ServeRequest request(const FailureScenario& sc,
+                                     io::BlockSource& source,
+                                     ServedStripe& s) {
+    serve::ServeRequest req;
+    req.scenario = sc;
+    req.source = &source;
+    req.blocks = s.stripe.block_ptrs();
+    req.block_bytes = 512;
+    return req;
+  }
+
+  const RSCode code;
+  Codec codec;
+  Stripe reference;
+  const std::vector<std::uint8_t> snap;
+  const std::vector<const std::uint8_t*> ptrs;
+  const FailureScenario a_sc{{0}};
+  const FailureScenario b_sc{{1}};
+  ServedStripe a;
+  ServedStripe b;
+  CountingSource counted;  ///< A's reads go through here
+  serve::ServerOptions options;
+};
+
+TEST(DecodeServer, HedgedTailDoesNotHoldTheDispatcher) {
+  TailFixture f;
+  serve::DecodeServer server(f.codec, f.options);
+  auto fa = server.submit(TailFixture::request(f.a_sc, f.counted, f.a));
+  auto fb = server.submit(TailFixture::request(f.b_sc, f.b.source, f.b));
+  ASSERT_TRUE(fa.has_value());
+  ASSERT_TRUE(fb.has_value());
+  // B queued behind A on the lone dispatcher, yet resolves long before
+  // A's straggler lands: the dispatcher did not wait for A's tail.
+  ASSERT_EQ(fb->wait_for(std::chrono::milliseconds{150}),
+            std::future_status::ready);
+  EXPECT_EQ(fa->wait_for(std::chrono::seconds{0}),
+            std::future_status::timeout);
+  EXPECT_TRUE(fb->get().complete);
+  EXPECT_TRUE(f.b.stripe.equals(f.snap));
+  const auto out = fa->get();
+  EXPECT_TRUE(out.complete);
+  EXPECT_GE(out.hedges_won, 1u);
+  EXPECT_TRUE(f.a.stripe.equals(f.snap));
+}
+
+TEST(DecodeServer, FutureResolvesOnlyAfterItsTailDrains) {
+  TailFixture f;
+  serve::DecodeServer server(f.codec, f.options);
+  auto fa = server.submit(TailFixture::request(f.a_sc, f.counted, f.a));
+  ASSERT_TRUE(fa.has_value());
+  // The moment A's future turns ready, none of its reads may still run:
+  // its source is the caller's to free from then on.
+  while (fa->wait_for(std::chrono::milliseconds{1}) !=
+         std::future_status::ready) {
+  }
+  EXPECT_EQ(f.counted.executing(), 0);
+  const auto out = fa->get();
+  EXPECT_TRUE(out.complete);
+  EXPECT_TRUE(f.a.stripe.equals(f.snap));
+  // The hedge won early, but total_ns runs until the straggler landed.
+  EXPECT_LT(out.last_read_complete_ns, out.total_ns);
+  EXPECT_GE(out.total_ns,
+            std::chrono::nanoseconds{TailFixture::kStraggle}.count());
+}
+
+TEST(DecodeServer, ShutdownResolvesFuturesWithTailsInFlight) {
+  TailFixture f;
+  std::optional<std::future<serve::OverlapResult>> fa;
+  {
+    serve::DecodeServer server(f.codec, f.options);
+    fa = server.submit(TailFixture::request(f.a_sc, f.counted, f.a));
+    auto fb = server.submit(TailFixture::request(f.b_sc, f.b.source, f.b));
+    ASSERT_TRUE(fa.has_value());
+    ASSERT_TRUE(fb.has_value());
+    // B done means A's decode has returned with its tail in flight.
+    ASSERT_EQ(fb->wait_for(std::chrono::milliseconds{150}),
+              std::future_status::ready);
+    server.shutdown();
+    EXPECT_EQ(fa->wait_for(std::chrono::seconds{0}),
+              std::future_status::ready);
+    EXPECT_EQ(f.counted.executing(), 0);
+  }
+  EXPECT_TRUE(fa->get().complete);
+  EXPECT_TRUE(f.a.stripe.equals(f.snap));
 }
 
 // ---- concurrent multi-reader soak (satellite: thread-safe injector) -----
