@@ -4,13 +4,84 @@
 // the serial H_rest tail PPM owns, but executes the full whole-matrix
 // operation count; PPM executes min(C3, C4) < C1 but joins before H_rest.
 // Modeled times put both on the same T virtual lanes.
+//
+// A second table measures the combination on real threads: one codec plan
+// executed serially and as 2 and 4 region slices on a ThreadPool, per
+// block size. Where the slices stop losing to serial sets
+// Codec::kMinSliceWork, the work below which Codec runs a stripe whole.
 #include <cstdio>
 
+#include "codec/codec.h"
+#include "common/timer.h"
 #include "decode/block_parallel_decoder.h"
+#include "parallel/task_group.h"
 
 #include "bench_common.h"
 
 using namespace ppm;
+
+namespace {
+
+/// Median wall seconds of `plan` executed on `stripe` as `slices` region
+/// slices, one pool task each (one slice runs in the caller).
+double sliced_seconds(const CachedPlan& plan, Stripe& stripe,
+                      unsigned slices, ThreadPool& pool) {
+  const std::size_t block = stripe.block_bytes();
+  const auto ranges = plan_slices(
+      block, stripe.code().field().symbol_bytes(), slices);
+  std::vector<std::vector<std::uint8_t*>> views;
+  for (const SliceRange& r : ranges) {
+    views.emplace_back();
+    for (std::size_t b = 0; b < stripe.code().total_blocks(); ++b) {
+      views.back().push_back(stripe.block(b) + r.offset);
+    }
+  }
+  std::vector<double> samples;
+  const Timer budget;
+  while (samples.size() < 20 || budget.seconds() < 0.2) {
+    const Timer t;
+    if (ranges.size() == 1) {
+      plan.execute(stripe.block_ptrs(), block);
+    } else {
+      TaskGroup group(pool);
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        group.add([&, i] { plan.execute(views[i].data(), ranges[i].bytes); });
+      }
+      group.wait();
+    }
+    samples.push_back(t.seconds());
+  }
+  return bench::median(std::move(samples));
+}
+
+void slice_floor_sweep() {
+  const SDCode code(8, 16, 2, 2, 8);
+  Codec codec(code);
+  const auto plan = codec.plan_for(FailureScenario::encoding_of(code));
+  ThreadPool pool(4);
+  std::printf("\nReal threads: SD^{2,2}_{8,16} w=8 encode plan (%zu ops), "
+              "median ms per stripe\n",
+              plan->cost());
+  std::printf("%8s %9s  %9s %9s %9s\n", "block", "work-MB", "serial",
+              "2 slices", "4 slices");
+  for (const std::size_t block :
+       {4u << 10, 8u << 10, 16u << 10, 32u << 10, 64u << 10, 128u << 10}) {
+    Stripe stripe(code, block);
+    Rng rng(0xAB6C + block);
+    stripe.fill_data(rng);
+    std::printf("%7zuK %9.1f ", block >> 10,
+                static_cast<double>(plan->cost() * block) / 1e6);
+    for (const unsigned slices : {1u, 2u, 4u}) {
+      std::printf(" %9.3f", sliced_seconds(*plan, stripe, slices, pool) * 1e3);
+    }
+    std::printf("\n");
+  }
+  std::printf("(Codec::kMinSliceWork = %.1f MB of region-op work per "
+              "slice)\n",
+              static_cast<double>(Codec::kMinSliceWork) / 1e6);
+}
+
+}  // namespace
 
 int main() {
   bench::banner("Ablation", "PPM (matrix-level) vs region-split (block-level)");
@@ -89,5 +160,6 @@ int main() {
               "Region-split runs C1 ops but has no serial tail; PPM runs "
               "min(C3,C4) < C1 with a serial H_rest; the combination takes "
               "both wins.)\n");
+  slice_floor_sweep();
   return 0;
 }

@@ -25,8 +25,9 @@
 //
 // Three lowerings cover every parallel region the decoders run:
 // PpmDecoder's independent-group fan-out (graph_of_subplans), the
-// region-split slices of BlockParallelDecoder (graph_of_slices), and the
-// per-target units of an XOR schedule (graph_of_schedule).
+// region-split slices of Codec and BlockParallelDecoder
+// (graph_of_slices), and the per-target units of an XOR schedule
+// (graph_of_schedule).
 //
 // From the same DAG the analysis derives the observability numbers that
 // bound achievable speedup: total work, critical-path length (both in

@@ -6,6 +6,7 @@
 #include "analyze_hazard/hazard.h"
 #include "common/cpu.h"
 #include "common/timer.h"
+#include "decode/block_parallel_decoder.h"
 #include "decode/log_table.h"
 #include "decode/partition.h"
 #include "decode/xor_schedule.h"
@@ -35,42 +36,6 @@ void CachedPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
                          DecodeStats* stats) const {
   for (const SubPlan& p : group_plans_) p.execute(blocks, block_bytes, stats);
   if (rest_plan_.has_value()) rest_plan_->execute(blocks, block_bytes, stats);
-}
-
-bool CachedPlan::execute_placed(std::uint8_t* const* blocks,
-                                std::size_t block_bytes, ThreadPool& pool,
-                                unsigned lanes, DecodeStats* stats) const {
-  if (lanes < 2 || group_plans_.size() < 2) {
-    execute(blocks, block_bytes, stats);
-    return false;
-  }
-  std::vector<std::size_t> work(group_plans_.size());
-  for (std::size_t i = 0; i < group_plans_.size(); ++i) {
-    work[i] = group_plans_[i].cost();
-  }
-  const hazard::Placement placement = hazard::place_lpt(work, lanes);
-  std::vector<DecodeStats> lane_stats(placement.lane_units.size());
-  {
-    TaskGroup group(pool);
-    for (std::size_t l = 0; l < placement.lane_units.size(); ++l) {
-      if (placement.lane_units[l].empty()) continue;
-      group.add([this, &placement, l, blocks, block_bytes, &lane_stats] {
-        for (const std::size_t i : placement.lane_units[l]) {
-          group_plans_[i].execute(blocks, block_bytes, &lane_stats[l]);
-        }
-      });
-    }
-    group.wait();
-  }
-  if (rest_plan_.has_value()) rest_plan_->execute(blocks, block_bytes, stats);
-  if (stats != nullptr) {
-    for (const DecodeStats& st : lane_stats) {
-      stats->mult_xors += st.mult_xors;
-      stats->bytes_touched += st.bytes_touched;
-      stats->blocks_read += st.blocks_read;
-    }
-  }
-  return true;
 }
 
 Codec::Codec(const ErasureCode& code, Options options)
@@ -299,26 +264,12 @@ std::shared_ptr<const CachedPlan> Codec::plan_for(
 bool Codec::decode(const FailureScenario& scenario,
                    std::uint8_t* const* blocks, std::size_t block_bytes,
                    DecodeStats* stats) {
+  if (block_bytes % code_->field().symbol_bytes() != 0) return false;
   if (scenario.empty()) return true;
   const Timer total;
   const auto plan = plan_for(scenario);
   if (plan == nullptr) return false;
-  DecodeStats local;
-  // Route through the DAG-guided placer when the plan's carried profile
-  // proves the group fan-out race-free and the codec has lanes to offer;
-  // otherwise (or when the plan has no width) the serial executor runs.
-  const bool qualifies =
-      options_.threads > 1 && plan->p() > 1 && plan->profile().hazard_free;
-  if (qualifies) {
-    if (plan->execute_placed(blocks, block_bytes, batch_pool(),
-                             options_.threads, &local)) {
-      metrics_.placed_decodes.add();
-    } else {
-      metrics_.placed_fallbacks.add();
-    }
-  } else {
-    plan->execute(blocks, block_bytes, &local);
-  }
+  const DecodeStats local = execute_sliced(*plan, {&blocks, 1}, block_bytes);
   metrics_.decodes.add();
   metrics_.stripes_decoded.add();
   metrics_.mult_xors.add(local.mult_xors);
@@ -338,49 +289,90 @@ bool Codec::encode(std::uint8_t* const* blocks, std::size_t block_bytes,
                 stats);
 }
 
-ThreadPool& Codec::batch_pool() {
+ThreadPool& Codec::worker_pool() {
   std::call_once(pool_once_, [this] {
     pool_ = std::make_unique<ThreadPool>(std::max(1u, options_.threads));
   });
   return *pool_;
 }
 
+DecodeStats Codec::execute_sliced(
+    const CachedPlan& plan, std::span<std::uint8_t* const* const> stripes,
+    std::size_t block_bytes) {
+  if (stripes.empty()) return {};
+  // Enough slices to give every worker a task, but none carrying less
+  // than kMinSliceWork; plan_slices caps the count at one per symbol.
+  const std::size_t by_threads =
+      (options_.threads + stripes.size() - 1) / stripes.size();
+  const std::size_t by_work = plan.cost() * block_bytes / kMinSliceWork;
+  const unsigned sym = code_->field().symbol_bytes();
+  const std::vector<SliceRange> slices = plan_slices(
+      block_bytes, sym,
+      static_cast<unsigned>(
+          std::max<std::size_t>(1, std::min(by_threads, by_work))));
+#ifdef PPM_VERIFY_PLANS
+  // Prove the fan-out race-free before any task starts: on every sub-plan
+  // the slices must be symbol-aligned, disjoint and tile the region. Each
+  // task runs the plan serially, so no group-level proof is needed.
+  const auto prove = [&](const SubPlan& sub) {
+    const auto verdict =
+        hazard::analyze_slices(sub, slices, block_bytes, sym);
+    if (!verdict.ok()) {
+      throw std::logic_error("PPM_VERIFY_PLANS: slice fan-out rejected: " +
+                             planverify::to_json(verdict.violations));
+    }
+  };
+  for (const SubPlan& g : plan.groups()) prove(g);
+  if (plan.rest().has_value()) prove(*plan.rest());
+#endif
+  const std::size_t blocks_per_stripe = code_->total_blocks();
+  const auto run = [&](std::size_t task) {
+    std::uint8_t* const* blocks = stripes[task / slices.size()];
+    const SliceRange& slice = slices[task % slices.size()];
+    if (slice.offset == 0) {
+      plan.execute(blocks, slice.bytes);
+      return;
+    }
+    std::vector<std::uint8_t*> view(blocks_per_stripe);
+    for (std::size_t b = 0; b < blocks_per_stripe; ++b) {
+      view[b] = blocks[b] + slice.offset;
+    }
+    plan.execute(view.data(), slice.bytes);
+  };
+  const std::size_t tasks = stripes.size() * slices.size();
+  if (tasks <= 1 || options_.threads <= 1) {
+    for (std::size_t i = 0; i < tasks; ++i) run(i);
+  } else {
+    TaskGroup group(worker_pool());
+    for (std::size_t i = 0; i < tasks; ++i) group.add([&run, i] { run(i); });
+    group.wait();
+  }
+  if (slices.size() > 1) metrics_.stripes_sliced.add(stripes.size());
+
+  // Slicing splits bytes, not ops: each stripe counts one serial execute,
+  // so the paper's C is never multiplied by the slice count.
+  std::size_t sources = 0;
+  for (const SubPlan& g : plan.groups()) sources += g.source_blocks();
+  if (plan.rest().has_value()) sources += plan.rest()->source_blocks();
+  DecodeStats stats;
+  stats.mult_xors = plan.cost() * stripes.size();
+  stats.bytes_touched = stats.mult_xors * block_bytes;
+  stats.blocks_read = sources * stripes.size();
+  return stats;
+}
+
 std::optional<BatchResult> Codec::decode_batch(
     const FailureScenario& scenario,
     const std::vector<std::uint8_t* const*>& stripes,
     std::size_t block_bytes) {
+  if (block_bytes % code_->field().symbol_bytes() != 0) return std::nullopt;
   BatchResult result;
   result.stripes = stripes.size();
   const Timer total;
   const auto plan = plan_for(scenario);
   if (plan == nullptr) return std::nullopt;
   result.plan_seconds = total.seconds();
-
-  if (stripes.empty()) {
-    result.seconds = total.seconds();
-    metrics_.batches.add();
-    metrics_.batch_seconds.record_seconds(result.seconds);
-    return result;
-  }
-
-  std::vector<DecodeStats> per_stripe(stripes.size());
-  if (options_.threads <= 1 || stripes.size() == 1) {
-    for (std::size_t i = 0; i < stripes.size(); ++i) {
-      plan->execute(stripes[i], block_bytes, &per_stripe[i]);
-    }
-  } else {
-    TaskGroup group(batch_pool());
-    for (std::size_t i = 0; i < stripes.size(); ++i) {
-      group.add([&, i] { plan->execute(stripes[i], block_bytes,
-                                       &per_stripe[i]); });
-    }
-    group.wait();
-  }
-  for (const DecodeStats& st : per_stripe) {
-    result.stats.mult_xors += st.mult_xors;
-    result.stats.bytes_touched += st.bytes_touched;
-    result.stats.blocks_read += st.blocks_read;
-  }
+  result.stats = execute_sliced(*plan, stripes, block_bytes);
   result.seconds = total.seconds();
   metrics_.batches.add();
   metrics_.stripes_decoded.add(stripes.size());

@@ -4,10 +4,16 @@
 // same block positions of *every* stripe in the placement group. The codec
 // therefore (a) caches decode plans per failure scenario — the matrix
 // bookkeeping (log table, partition, inversions) is paid once and reused
-// across stripes — and (b) offers a batch decode that pipelines many
-// stripes, combining PPM's intra-stripe (matrix-level) parallelism with
-// the classic inter-stripe (block-level) parallelism of [36]-[38] in the
-// paper's related work. The ablation benches quantify each contribution.
+// across stripes — and (b) runs every decode, encode and batch decode
+// through one stripe×slice fan-out on its worker pool. Each task executes
+// a stripe's whole cached plan (the O1 groups, then H_rest) on one
+// contiguous byte range of every block: region ops are element-wise, so
+// slices are independent, PPM keeps its min(C3, C4) op count, and its
+// serial H_rest tail is split across the cores like everything else. A
+// batch of at least `threads` stripes runs one slice per stripe, the
+// classic inter-stripe parallelism of [36]-[38]; a smaller batch, or one
+// stripe, is cut into ⌈threads / stripes⌉ slices per stripe, as long as
+// each slice carries kMinSliceWork.
 //
 // Thread-safety: a Codec is safe for concurrent use from any number of
 // threads. plan_for/decode/encode/decode_batch may all run at once; the
@@ -83,7 +89,7 @@ struct PlanSchedule {
 
 /// A fully planned PPM decode, reusable across stripes with the same
 /// failure scenario. Thread-safe to execute concurrently on distinct
-/// stripes.
+/// stripes or on disjoint slices of one stripe.
 class CachedPlan {
  public:
   std::size_t p() const { return group_plans_.size(); }
@@ -94,23 +100,12 @@ class CachedPlan {
   /// (all-zero, !hazard_free) profile — nothing is analyzed there.
   const PlanProfile& profile() const { return profile_; }
 
-  /// Execute on one stripe: groups (serially, in the calling thread) then
-  /// the rest plan. Batch-level parallelism comes from the codec running
-  /// many of these concurrently.
+  /// Execute on one stripe (or on one slice of it: every block region
+  /// shifted to the same offset): groups, then the rest plan, serially in
+  /// the calling thread. Codec runs many of these concurrently, one per
+  /// stripe×slice task.
   void execute(std::uint8_t* const* blocks, std::size_t block_bytes,
                DecodeStats* stats = nullptr) const;
-
-  /// Execute on one stripe with the group fan-out LPT-placed onto up to
-  /// `lanes` lanes of `pool` (hazard::place_lpt over the groups' costs —
-  /// the same weights the plan's hazard DAG carries); the rest plan runs
-  /// in the calling thread after every group completes, matching the
-  /// DAG's group -> rest edges. Callers must gate on profile().hazard_free
-  /// — the proof that the groups may run concurrently at all. Falls back
-  /// to execute() when there is no exploitable width (lanes < 2 or fewer
-  /// than two groups); returns true when the parallel path actually ran.
-  bool execute_placed(std::uint8_t* const* blocks, std::size_t block_bytes,
-                      ThreadPool& pool, unsigned lanes,
-                      DecodeStats* stats = nullptr) const;
 
   /// The independent-group sub-plans, in execution order.
   std::span<const SubPlan> groups() const { return group_plans_; }
@@ -156,7 +151,9 @@ struct BatchResult {
 class Codec {
  public:
   struct Options {
-    unsigned threads = 0;     ///< worker threads for batch decode (0 = hw)
+    /// Worker-pool size (0 = hardware threads). Every decode, encode and
+    /// batch decode fans out over it; 1 runs everything in the caller.
+    unsigned threads = 0;
     std::size_t cache_capacity = 64;  ///< retained scenario plans (total)
     /// Plan-cache mutex domains. 0 = auto: min(8, cache_capacity). 1
     /// degenerates to a single strict-LRU cache (useful for tests wanting
@@ -171,6 +168,14 @@ class Codec {
     bool optimize_xor = false;
   };
 
+  /// Region-op bytes (plan cost × block bytes) one slice must carry to be
+  /// worth a pool hand-off; a stripe with less work runs as fewer slices,
+  /// down to one. Measured with bench/ablation_region_split's block-size
+  /// sweep on a 4-vCPU AVX-512 Xeon: on SD^{2,2}_{8,16}, w=8 (a 452-op
+  /// plan), 2 and 4 slices lose to serial at 8 KiB blocks (3.7 MB of
+  /// work), break even at 16 KiB and win by 1.6-1.9x at 32 KiB.
+  static constexpr std::size_t kMinSliceWork = std::size_t{4} << 20;
+
   explicit Codec(const ErasureCode& code) : Codec(code, Options{}) {}
   Codec(const ErasureCode& code, Options options);
 
@@ -181,11 +186,15 @@ class Codec {
   /// after LRU eviction.
   std::shared_ptr<const CachedPlan> plan_for(const FailureScenario& scenario);
 
-  /// Decode one stripe using the cached plan.
+  /// Decode one stripe using the cached plan, sliced over the worker
+  /// pool when its work is large enough. False, with no block touched,
+  /// when the scenario is undecodable or `block_bytes` is not a multiple
+  /// of the field's symbol size.
   bool decode(const FailureScenario& scenario, std::uint8_t* const* blocks,
               std::size_t block_bytes, DecodeStats* stats = nullptr);
 
-  /// Encode one stripe (scenario = all parity blocks).
+  /// Encode one stripe (scenario = all parity blocks); same contract as
+  /// decode().
   bool encode(std::uint8_t* const* blocks, std::size_t block_bytes,
               DecodeStats* stats = nullptr);
 
@@ -209,8 +218,11 @@ class Codec {
                                        expected_crc = {});
 
   /// Decode a batch of stripes sharing one failure scenario — the
-  /// disk-rebuild path. Planning happens once; stripes are distributed
-  /// over the codec's persistent worker pool (created on first use).
+  /// disk-rebuild path. Planning happens once; the stripes' slices are
+  /// distributed over the codec's persistent worker pool (created on the
+  /// first fan-out). std::nullopt, with no block touched, when the
+  /// scenario is undecodable or `block_bytes` is not a multiple of the
+  /// field's symbol size.
   std::optional<BatchResult> decode_batch(
       const FailureScenario& scenario,
       const std::vector<std::uint8_t* const*>& stripes,
@@ -258,7 +270,15 @@ class Codec {
 
  private:
   std::shared_ptr<CachedPlan> build_plan(const FailureScenario& scenario) const;
-  ThreadPool& batch_pool();
+  ThreadPool& worker_pool();
+
+  /// The one fan-out: run `plan` on every stripe, each cut into the same
+  /// slices, one pool task per stripe×slice (a single task runs in the
+  /// caller). Returns the stats of serial execution, counting each
+  /// stripe once.
+  DecodeStats execute_sliced(const CachedPlan& plan,
+                             std::span<std::uint8_t* const* const> stripes,
+                             std::size_t block_bytes);
 
   /// The one key-derivation function shared by the in-memory cache and —
   /// via CodeSignature — the plan store: signature digest, then the

@@ -120,8 +120,7 @@ void CodecMetrics::reset() {
   stripes_decoded.reset();
   mult_xors.reset();
   bytes_touched.reset();
-  placed_decodes.reset();
-  placed_fallbacks.reset();
+  stripes_sliced.reset();
   decode_seconds.reset();
   batch_seconds.reset();
   plan_seconds.reset();
@@ -168,8 +167,7 @@ std::string CodecMetrics::to_json() const {
   append_kv(out, "stripes", stripes_decoded.value());
   append_kv(out, "mult_xors", mult_xors.value());
   append_kv(out, "bytes_touched", bytes_touched.value());
-  append_kv(out, "placed", placed_decodes.value());
-  append_kv(out, "placed_fallbacks", placed_fallbacks.value(), false);
+  append_kv(out, "sliced", stripes_sliced.value(), false);
   out += "},\"latency\":{\"decode\":";
   decode_seconds.append_json(out);
   out += ",\"batch\":";

@@ -178,12 +178,9 @@ struct CodecMetrics {
   Counter mult_xors;        ///< region ops issued (the paper's C, summed)
   Counter bytes_touched;    ///< source bytes read by region ops
 
-  // Hazard-DAG-guided execution (docs/CONCURRENCY.md,
-  // "DAG-consumed-by-executors"): decodes whose group fan-out ran LPT-
-  // placed on the codec pool, vs. decodes that qualified for placement
-  // but fell back to the serial in-caller execute().
-  Counter placed_decodes;    ///< decode() runs through execute_placed
-  Counter placed_fallbacks;  ///< placement qualified but ran serially
+  // Slice fan-out (docs/CONCURRENCY.md §5): stripes, single or batched,
+  // whose plan ran as more than one slice on the codec pool.
+  Counter stripes_sliced;
 
   // Latency.
   LatencyHistogram decode_seconds;  ///< per-stripe decode() wall time

@@ -4,12 +4,13 @@
 // contiguous slices and run the complete plan on each slice concurrently.
 // Region operations are element-wise, so slices are independent.
 //
-// Strengths/weaknesses vs PPM (measured in bench/ablation_block_parallel):
+// Strengths/weaknesses vs PPM (measured in bench/ablation_region_split):
 // region splitting parallelizes *all* the work including H_rest's serial
 // tail, but executes the full C1/C2 operation count — it has no partition
 // and therefore no cost reduction; PPM runs fewer operations but owns a
-// serial tail. On real multi-core hardware the strongest configuration is
-// often PPM's partition with region-split execution of H_rest.
+// serial tail. The combination — PPM's partitioned plan executed on region
+// slices — wins both ways and is what Codec ships (codec/codec.h); this
+// decoder stays as the related-work baseline. plan_slices() is shared.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +24,10 @@
 namespace ppm {
 
 /// One contiguous byte range of every block region, processed by one
-/// worker. Produced by plan_slices(); consumed by the decoder and by the
-/// hazard analyzer (analyze_hazard/), which proves the ranges disjoint,
-/// symbol-aligned and an exact tiling of [0, block_bytes).
+/// worker. Produced by plan_slices(); consumed by this decoder, by Codec's
+/// fan-out and by the hazard analyzer (analyze_hazard/), which proves the
+/// ranges disjoint, symbol-aligned and an exact tiling of
+/// [0, block_bytes).
 struct SliceRange {
   std::size_t offset = 0;  ///< first byte of the slice
   std::size_t bytes = 0;   ///< slice length (multiple of the symbol size)

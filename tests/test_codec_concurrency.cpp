@@ -6,6 +6,7 @@
 // races, not just the absence of wrong answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -155,6 +156,61 @@ TEST(CodecSoak, ConcurrentBatchDecodesShareOnePool) {
             static_cast<std::size_t>(kThreads) * kRounds * kStripes);
   EXPECT_EQ(codec.metrics().batch_seconds.count(),
             static_cast<std::size_t>(kThreads) * kRounds);
+}
+
+TEST(CodecSoak, ConcurrentSlicedTraffic) {
+  // Four clients mix decode, encode and two-stripe decode_batch calls on
+  // stripes large enough that each call is cut into slices, so client
+  // fan-outs interleave their tasks on the codec's one pool.
+  const SDCode code(8, 8, 2, 2, 8);
+  constexpr int kClients = 4;
+  constexpr int kRounds = 3;
+  ScenarioGenerator gen(7200);
+  const auto sc = gen.sd_worst_case(code, 2, 2, 1).scenario;
+  const auto encoding = FailureScenario::encoding_of(code);
+  Codec codec(code, Codec::Options{.threads = 4});
+  // Two slices of kMinSliceWork per stripe for the cheaper of the plans.
+  const std::size_t cost =
+      std::min(codec.plan_for(sc)->cost(), codec.plan_for(encoding)->cost());
+  const std::size_t block = 2 * Codec::kMinSliceWork / cost + 1;
+
+  std::atomic<std::size_t> failures{0};
+  std::vector<std::jthread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<std::unique_ptr<Stripe>> stripes;
+      std::vector<std::vector<std::uint8_t>> snaps;
+      std::vector<std::uint8_t* const*> ptrs;
+      for (int i = 0; i < 2; ++i) {
+        stripes.push_back(std::make_unique<Stripe>(code, block));
+        snaps.push_back(
+            test::fill_and_encode(code, *stripes.back(), 9700 + c * 10 + i));
+        ptrs.push_back(stripes.back()->block_ptrs());
+      }
+      const auto check = [&](bool ok, std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+          ok = ok && stripes[i]->equals(snaps[i]);
+        }
+        if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        stripes[0]->erase(sc);
+        check(codec.decode(sc, ptrs[0], block), 1);
+        stripes[0]->erase(encoding);
+        check(codec.encode(ptrs[0], block), 1);
+        for (const auto& s : stripes) s->erase(sc);
+        check(codec.decode_batch(sc, ptrs, block).has_value(), 2);
+      }
+    });
+  }
+  clients.clear();  // join
+
+  EXPECT_EQ(failures.load(), 0u);
+  constexpr auto kOps = static_cast<std::size_t>(kClients) * kRounds;
+  EXPECT_EQ(codec.metrics().decodes.value(), 2 * kOps);
+  EXPECT_EQ(codec.metrics().batches.value(), kOps);
+  // Every stripe of every call ran as more than one slice.
+  EXPECT_EQ(codec.metrics().stripes_sliced.value(), 4 * kOps);
 }
 
 }  // namespace

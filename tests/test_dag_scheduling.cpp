@@ -437,35 +437,5 @@ TEST(PpmPlacement, OverheadModelChargesOnlySpawnedThreads) {
               1e-12);
 }
 
-TEST(PpmPlacement, CodecRoutesThroughPlacedExecutor) {
-  const SDCode code(8, 8, 2, 2, 8);
-  Stripe stripe(code, 512);
-  const auto snap = test::fill_and_encode(code, stripe, 126);
-  ScenarioGenerator gen(127);
-  const auto g = gen.sd_worst_case(code, 2, 2, 1);
-  stripe.erase(g.scenario);
-  Codec::Options copts;
-  copts.threads = 4;
-  Codec codec(code, copts);
-  ASSERT_TRUE(codec.decode(g.scenario, stripe.block_ptrs(),
-                           stripe.block_bytes()));
-  EXPECT_TRUE(stripe.equals(snap));
-  EXPECT_EQ(codec.metrics().placed_decodes.value(), 1u);
-  EXPECT_EQ(codec.metrics().placed_fallbacks.value(), 0u);
-
-  // A single-threaded codec must keep the serial path (and not count a
-  // placed decode).
-  Stripe stripe1(code, 512);
-  const auto snap1 = test::fill_and_encode(code, stripe1, 128);
-  stripe1.erase(g.scenario);
-  Codec::Options serial_opts;
-  serial_opts.threads = 1;
-  Codec serial_codec(code, serial_opts);
-  ASSERT_TRUE(serial_codec.decode(g.scenario, stripe1.block_ptrs(),
-                                  stripe1.block_bytes()));
-  EXPECT_TRUE(stripe1.equals(snap1));
-  EXPECT_EQ(serial_codec.metrics().placed_decodes.value(), 0u);
-}
-
 }  // namespace
 }  // namespace ppm

@@ -134,16 +134,19 @@ TEST(CodecMetrics, JsonHasStableKeys) {
   m.plan_misses.add(2);
   m.plan_evictions.add(1);
   m.mult_xors.add(29);
+  m.stripes_sliced.add(5);
   m.decode_seconds.record_nanos(100);
   const std::string json = m.to_json();
   for (const char* key :
        {"\"plan_cache\"", "\"hits\":3", "\"misses\":2", "\"evictions\":1",
-        "\"failures\":0", "\"decode\"", "\"mult_xors\":29", "\"latency\"",
-        "\"batch\"", "\"plan\"", "\"p50_s\"", "\"p99_s\""}) {
+        "\"failures\":0", "\"decode\"", "\"mult_xors\":29", "\"sliced\":5",
+        "\"latency\"", "\"batch\"", "\"plan\"", "\"p50_s\"",
+        "\"p99_s\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
   m.reset();
   EXPECT_EQ(m.plan_hits.value(), 0u);
+  EXPECT_EQ(m.stripes_sliced.value(), 0u);
   EXPECT_EQ(m.decode_seconds.count(), 0u);
 }
 
