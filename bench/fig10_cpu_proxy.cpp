@@ -6,7 +6,8 @@
 // "different CPU" axis is replayed along its two constituent dimensions:
 //   (a) core count — the modeled lane count set to 4 / 6 / 8;
 //   (b) micro-architecture — the GF kernel ISA family pinned to scalar /
-//       SSSE3 / AVX2 / AVX-512 via PPM_FORCE_ISA, exercised per-op here.
+//       SSSE3 / AVX2 / AVX-512 / GFNI via PPM_FORCE_ISA, exercised per-op
+//       here.
 // The paper's claim is that the *improvement ratio* is insensitive to the
 // CPU; that is exactly what both axes test.
 #include <cstdio>
@@ -72,8 +73,10 @@ int main() {
 
   std::printf("\n--- axis (b): GF kernel ISA family (single-core wall "
               "improvement, T=1) ---\n");
-  std::printf("run this binary under PPM_FORCE_ISA=scalar|ssse3|avx2|avx512 to pin "
-              "a family; current run uses '%s'.\n", isa_name(detect_isa()));
+  std::printf("run this binary under "
+              "PPM_FORCE_ISA=scalar|ssse3|avx2|avx512|gfni to pin a family; "
+              "current run uses '%s'.\n",
+              isa_name(detect_isa()));
   std::printf("%4s %2s %2s  %12s %12s %14s\n", "n", "m", "s", "SD MB/s",
               "opt-SD MB/s", "wall-impr");
   for (const std::size_t n : ns) {

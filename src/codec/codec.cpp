@@ -329,15 +329,17 @@ DecodeStats Codec::execute_sliced(
   const auto run = [&](std::size_t task) {
     std::uint8_t* const* blocks = stripes[task / slices.size()];
     const SliceRange& slice = slices[task % slices.size()];
-    if (slice.offset == 0) {
-      plan.execute(blocks, slice.bytes);
-      return;
-    }
+    // The whole plan runs one tile at a time, so the survivor tiles the
+    // groups read are still in L2 when H_rest reads them again: each
+    // stripe byte streams from memory once, not once per sub-plan.
     std::vector<std::uint8_t*> view(blocks_per_stripe);
-    for (std::size_t b = 0; b < blocks_per_stripe; ++b) {
-      view[b] = blocks[b] + slice.offset;
+    for (std::size_t off = 0; off < slice.bytes; off += SubPlan::kTileBytes) {
+      for (std::size_t b = 0; b < blocks_per_stripe; ++b) {
+        view[b] = blocks[b] + slice.offset + off;
+      }
+      plan.execute(view.data(),
+                   std::min(SubPlan::kTileBytes, slice.bytes - off));
     }
-    plan.execute(view.data(), slice.bytes);
   };
   const std::size_t tasks = stripes.size() * slices.size();
   if (tasks <= 1 || options_.threads <= 1) {

@@ -7,9 +7,11 @@
 // across stripes — and (b) runs every decode, encode and batch decode
 // through one stripe×slice fan-out on its worker pool. Each task executes
 // a stripe's whole cached plan (the O1 groups, then H_rest) on one
-// contiguous byte range of every block: region ops are element-wise, so
-// slices are independent, PPM keeps its min(C3, C4) op count, and its
-// serial H_rest tail is split across the cores like everything else. A
+// contiguous byte range of every block, one SubPlan::kTileBytes tile at a
+// time so H_rest finds the tiles the groups read still in L2: region ops
+// are element-wise, so slices and tiles are independent, PPM keeps its
+// min(C3, C4) op count, and its serial H_rest tail is split across the
+// cores like everything else. A
 // batch of at least `threads` stripes runs one slice per stripe, the
 // classic inter-stripe parallelism of [36]-[38]; a smaller batch, or one
 // stripe, is cut into ⌈threads / stripes⌉ slices per stripe, as long as
@@ -171,10 +173,11 @@ class Codec {
   /// Region-op bytes (plan cost × block bytes) one slice must carry to be
   /// worth a pool hand-off; a stripe with less work runs as fewer slices,
   /// down to one. Measured with bench/ablation_region_split's block-size
-  /// sweep on a 4-vCPU AVX-512 Xeon: on SD^{2,2}_{8,16}, w=8 (a 452-op
-  /// plan), 2 and 4 slices lose to serial at 8 KiB blocks (3.7 MB of
-  /// work), break even at 16 KiB and win by 1.6-1.9x at 32 KiB.
-  static constexpr std::size_t kMinSliceWork = std::size_t{4} << 20;
+  /// sweep on a 4-vCPU AVX-512 + GFNI Xeon, three runs: on SD^{2,2}_{8,16},
+  /// w=8 (a 452-op plan), 2 and 4 slices lose to serial at 8 KiB blocks
+  /// (3.7 MB of work), 4 slices win by 1.3-1.5x at 16 KiB (where a whole
+  /// stripe no longer fits one core's L2) and by 1.5-2.5x at 32 KiB.
+  static constexpr std::size_t kMinSliceWork = std::size_t{2} << 20;
 
   explicit Codec(const ErasureCode& code) : Codec(code, Options{}) {}
   Codec(const ErasureCode& code, Options options);
@@ -209,6 +212,9 @@ class Codec {
   /// block, survivor reads and recovered blocks are integrity-checked
   /// against it and mismatches reported as corruption_detected. Never
   /// throws on I/O faults; see codec/resilient.h and docs/ROBUSTNESS.md.
+  /// When `block_bytes` is not a multiple of the field's symbol size it
+  /// reads and touches nothing and reports every faulty block
+  /// unrecoverable.
   ResilientResult decode_resilient(const FailureScenario& scenario,
                                    io::BlockSource& source,
                                    std::uint8_t* const* blocks,

@@ -224,6 +224,12 @@ ResilientResult Codec::decode_resilient(
     std::span<const std::uint32_t> expected_crc) {
   ResilientResult out;
   out.final_scenario = scenario;
+  if (block_bytes % code_->field().symbol_bytes() != 0) {
+    // Refused before any read: no kernel can rebuild a split symbol.
+    out.unrecoverable.assign(scenario.faulty().begin(),
+                             scenario.faulty().end());
+    return out;
+  }
   if (scenario.empty()) {
     out.complete = true;
     return out;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "common/aligned_buffer.h"
 #include "gf/galois_field.h"
@@ -64,6 +65,10 @@ std::size_t UpdatePlanner::apply_write(std::size_t data_block,
                                        std::uint8_t* const* blocks,
                                        std::size_t block_bytes) const {
   const gf::Field& f = code_->field();
+  if (block_bytes % f.symbol_bytes() != 0) {
+    throw std::invalid_argument("apply_write: " + std::to_string(block_bytes) +
+                                "-byte blocks split a symbol");
+  }
   // delta = old ^ new
   AlignedBuffer delta(block_bytes);
   std::memcpy(delta.data(), blocks[data_block], block_bytes);

@@ -36,7 +36,9 @@ class UpdatePlanner {
   /// Apply a write: `new_data` replaces block `data_block` (whose current
   /// contents must still be in `blocks[data_block]`). Updates the data
   /// block and every affected parity region in place. Returns the number
-  /// of mult_XOR region ops performed.
+  /// of mult_XOR region ops performed. Throws std::invalid_argument, with
+  /// no block touched, when `block_bytes` is not a multiple of the
+  /// field's symbol size.
   std::size_t apply_write(std::size_t data_block,
                           const std::uint8_t* new_data,
                           std::uint8_t* const* blocks,

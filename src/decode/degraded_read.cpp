@@ -150,6 +150,10 @@ bool DegradedReader::read(std::size_t target,
                           std::uint8_t* const* blocks,
                           std::size_t block_bytes, DecodeStats* stats,
                           DegradedReadError* error) const {
+  if (block_bytes % code_->field().symbol_bytes() != 0) {
+    if (error != nullptr) *error = DegradedReadError::kBlockSplitsSymbol;
+    return false;
+  }
   const auto p = plan(target, unavailable, error);
   if (!p.has_value()) return false;
   p->plan.execute(blocks, block_bytes, stats);

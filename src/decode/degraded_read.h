@@ -34,6 +34,7 @@ enum class DegradedReadError {
   kNone,                   ///< planned successfully
   kTargetNotUnavailable,   ///< `unavailable` does not contain the target
   kInsufficientSurvivors,  ///< no row combination avoids unavailable blocks
+  kBlockSplitsSymbol,      ///< read(): block_bytes not a whole symbol count
 };
 
 class DegradedReader {
@@ -52,6 +53,8 @@ class DegradedReader {
       const;
 
   /// Plan + execute in one call; true on success (target block rewritten).
+  /// False, with no block touched, when planning fails or `block_bytes`
+  /// is not a multiple of the field's symbol size.
   bool read(std::size_t target, const FailureScenario& unavailable,
             std::uint8_t* const* blocks, std::size_t block_bytes,
             DecodeStats* stats = nullptr,

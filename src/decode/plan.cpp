@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/aligned_buffer.h"
+#include "common/cpu.h"
 #include "matrix/solve.h"
 
 namespace ppm {
@@ -79,6 +82,7 @@ std::optional<SubPlan> SubPlan::make(const Matrix& h,
   for (std::size_t c = 0; c < applied.cols(); ++c) {
     plan.source_blocks_ += !applied.column_is_zero(c);
   }
+  plan.prepare_operands();
   return plan;
 }
 
@@ -107,43 +111,70 @@ SubPlan SubPlan::from_parts(const gf::Field& f, Sequence seq,
   plan.s_ = std::move(s);
   plan.cost_ = cost;
   plan.source_blocks_ = source_blocks;
+  plan.prepare_operands();
   return plan;
 }
 
-namespace {
+SubPlan::Terms SubPlan::prepare_terms(const Matrix& m) {
+  const gf::Field& f = m.field();
+  const bool owned = f.all_tables() == nullptr;
+  const std::size_t stride = gf::operand_bytes(f.w());
+  const std::size_t nonzeros = m.nonzeros();
+  Terms t;
+  t.row_end.reserve(m.rows());
+  t.term.reserve(nonzeros);
+  if (owned) t.tables.resize(nonzeros * stride);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      const gf::Element c = m(i, j);
+      if (c == 0) continue;
+      const std::size_t at = (owned ? t.term.size() : c) * stride;
+      if (owned) f.prepare(c, t.tables.data() + at);
+      t.term.push_back({static_cast<std::uint32_t>(j), c,
+                        static_cast<std::uint32_t>(at)});
+    }
+    t.row_end.push_back(t.term.size());
+  }
+  return t;
+}
 
-// Region tile for the execution loops. Large blocks are processed in
-// tiles so that a survivor tile read for one target row is still cached
-// when the next row needs it; without tiling, multi-megabyte blocks evict
-// each other between rows and every mult_XOR streams from memory.
-constexpr std::size_t kTileBytes = 256 * 1024;
-
-}  // namespace
+void SubPlan::prepare_operands() {
+  finv_terms_ = prepare_terms(finv_);
+  s_terms_ = prepare_terms(s_);
+}
 
 void SubPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
                       DecodeStats* stats) const {
   const gf::Field& f = finv_.field();
+  if (block_bytes % f.symbol_bytes() != 0) {
+    throw std::invalid_argument("SubPlan::execute: " +
+                                std::to_string(block_bytes) +
+                                "-byte blocks split a symbol");
+  }
+  const gf::RegionKernels& k = gf::kernels_for(f.w(), detect_isa());
   DecodeStats local;
 
-  // Apply one matrix row to one tile: dst[dst_off..] = Σ_j M(row, j) *
-  // src_j[src_off..], using the overwrite kernel for the first term to
-  // skip a zeroing pass.
-  const auto apply_row = [&](const Matrix& mat, std::size_t row,
-                             std::uint8_t* const* srcs, std::size_t src_off,
-                             std::uint8_t* dst, std::size_t dst_off,
-                             std::size_t len) {
-    bool first = true;
-    for (std::size_t j = 0; j < mat.cols(); ++j) {
-      const gf::Element c = mat(row, j);
-      if (c == 0) continue;
-      if (first) {
-        f.mult_region(dst + dst_off, srcs[j] + src_off, c, len);
-        first = false;
+  // Apply one matrix row to one tile: dst = Σ_j M(row, j) * src_j[off..],
+  // using the overwrite kernel for the first term to skip a zeroing pass.
+  const std::uint8_t* const all_tables = f.all_tables();
+  const auto apply_row = [&](const Terms& t, std::size_t row,
+                             std::uint8_t* const* srcs, std::size_t off,
+                             std::uint8_t* dst, std::size_t len) {
+    const std::uint8_t* tables =
+        t.tables.empty() ? all_tables : t.tables.data();
+    const std::size_t begin = row == 0 ? 0 : t.row_end[row - 1];
+    if (begin == t.row_end[row]) std::memset(dst, 0, len);  // all-zero row
+    for (std::size_t i = begin; i < t.row_end[row]; ++i) {
+      const std::uint8_t* src = srcs[t.term[i].col] + off;
+      if (t.term[i].c != 1) {
+        (i == begin ? k.mult_over : k.mult_xor)(dst, src, len,
+                                                tables + t.term[i].at);
+      } else if (i == begin) {
+        std::memcpy(dst, src, len);
       } else {
-        f.mult_region_xor(dst + dst_off, srcs[j] + src_off, c, len);
+        k.xor_region(dst, src, len);
       }
     }
-    if (first) std::memset(dst + dst_off, 0, len);  // all-zero matrix row
   };
 
   // Gather survivor region pointers in column order.
@@ -152,16 +183,13 @@ void SubPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
     surv[j] = blocks[survivors_[j]];
   }
 
-  // Tile size: a multiple of the symbol size (kTileBytes already is, for
-  // every supported width).
-  static_assert(kTileBytes % 4 == 0);
-
+  static_assert(kTileBytes % 4 == 0, "tiles must hold whole symbols");
   if (seq_ == Sequence::kMatrixFirst) {
     // BF = G · BS directly into the unknown blocks.
     for (std::size_t off = 0; off < block_bytes; off += kTileBytes) {
       const std::size_t len = std::min(kTileBytes, block_bytes - off);
       for (std::size_t i = 0; i < unknowns_.size(); ++i) {
-        apply_row(finv_, i, surv.data(), off, blocks[unknowns_[i]], off,
+        apply_row(finv_terms_, i, surv.data(), off, blocks[unknowns_[i]] + off,
                   len);
       }
     }
@@ -180,10 +208,11 @@ void SubPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
     for (std::size_t off = 0; off < block_bytes; off += kTileBytes) {
       const std::size_t len = std::min(kTileBytes, block_bytes - off);
       for (std::size_t i = 0; i < n; ++i) {
-        apply_row(s_, i, surv.data(), off, tmp[i], 0, len);
+        apply_row(s_terms_, i, surv.data(), off, tmp[i], len);
       }
       for (std::size_t i = 0; i < n; ++i) {
-        apply_row(finv_, i, tmp.data(), 0, blocks[unknowns_[i]], off, len);
+        apply_row(finv_terms_, i, tmp.data(), 0, blocks[unknowns_[i]] + off,
+                  len);
       }
     }
     local.mult_xors = finv_.nonzeros() + s_.nonzeros();

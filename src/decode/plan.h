@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "gf/galois_field.h"
 #include "matrix/matrix.h"
 
 namespace ppm {
@@ -64,10 +65,18 @@ class SubPlan {
 
   /// Apply the plan: read survivor blocks, write unknown blocks.
   /// `blocks[id]` is the region of block `id`; all regions have
-  /// `block_bytes` bytes. Thread-safe w.r.t. other SubPlans touching
-  /// disjoint unknown blocks.
+  /// `block_bytes` bytes. Regions run in kTileBytes tiles, so the survivor
+  /// tiles one matrix row reads are still cached for the next row.
+  /// Thread-safe w.r.t. other SubPlans touching disjoint unknown blocks.
+  /// Throws std::invalid_argument, touching no block, when `block_bytes`
+  /// is not a multiple of the field's symbol size.
   void execute(std::uint8_t* const* blocks, std::size_t block_bytes,
                DecodeStats* stats = nullptr) const;
+
+  /// Region tile of execute(): small enough that one tile of every
+  /// survivor of a dense row (252 of them at SD(16,16)) fits in L2, and a
+  /// multiple of every symbol size.
+  static constexpr std::size_t kTileBytes = 4 * 1024;
 
   /// Plan recovery of `unknowns` using parity-check rows `rows` of `h`.
   /// Survivor columns are the nonzero columns of those rows minus every
@@ -103,6 +112,23 @@ class SubPlan {
   SubPlan(const gf::Field& f, Sequence seq)
       : seq_(seq), finv_(f, 0, 0), s_(f, 0, 0) {}
 
+  // The nonzeros of an applied matrix in row-major order, each with its
+  // coefficient's region-kernel tables prepared once (Field::prepare).
+  struct Term {
+    std::uint32_t col;
+    gf::Element c;
+    std::uint32_t at;  // offset of its tables in `tables` or all_tables()
+  };
+  struct Terms {
+    std::vector<std::size_t> row_end;  // row i: [row_end[i-1], row_end[i])
+    std::vector<Term> term;
+    // gf::operand_bytes(w) per term; empty when the field keeps every
+    // constant's tables (gf::Field::all_tables).
+    std::vector<std::uint8_t> tables;
+  };
+  static Terms prepare_terms(const Matrix& m);
+  void prepare_operands();
+
   Sequence seq_;
   std::vector<std::size_t> unknowns_;   // blocks written (f of them)
   std::vector<std::size_t> survivors_;  // blocks read
@@ -111,6 +137,8 @@ class SubPlan {
   // MatrixFirst: finv_ holds G = F⁻¹·S (f×|survivors|); s_ is empty.
   Matrix finv_;
   Matrix s_;
+  Terms finv_terms_;
+  Terms s_terms_;
   std::size_t cost_ = 0;
   std::size_t source_blocks_ = 0;
 };

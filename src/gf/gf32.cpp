@@ -3,8 +3,8 @@
 // multiplication is carry-less: PCLMULQDQ + polynomial folding where the
 // CPU supports it (see gf32_clmul.cpp), a 32-step shift-and-add otherwise.
 // The inverse uses Fermat (a^(2^32 - 2)). Region throughput does not
-// depend on this path — the split-table kernels amortize one table build
-// over an entire block region.
+// depend on this path — the region kernels read each constant as tables
+// prepared once (Field::prepare).
 #include <cstdint>
 
 #include "gf/fields_internal.h"

@@ -1,4 +1,4 @@
-// AVX2 region kernels: the SSSE3 split-table algorithm widened to 256 bits.
+// AVX2 region kernels: the SSSE3 nibble-table algorithm widened to 256 bits.
 // vpshufb shuffles within each 128-bit lane, so the 16-entry tables are
 // simply broadcast to both lanes and the SSSE3 index math carries over
 // unchanged.
@@ -14,14 +14,13 @@ namespace ppm::gf::internal {
 
 namespace {
 
-inline __m256i byte_table256(const Element* split, unsigned pos,
-                             unsigned byte_index) {
-  alignas(16) std::uint8_t t[16];
-  for (unsigned v = 0; v < 16; ++v) {
-    t[v] = static_cast<std::uint8_t>(split[16 * pos + v] >> (8 * byte_index));
-  }
-  const __m128i lane = _mm_load_si128(reinterpret_cast<const __m128i*>(t));
-  return _mm256_broadcastsi128_si256(lane);
+// The 16-entry table for nibble position k, symbol byte b, in every
+// 128-bit lane.
+template <unsigned W>
+inline __m256i table(const std::uint8_t* tables, unsigned k, unsigned b) {
+  const std::uint8_t* t = tables + nibble_offset<W>(k, b);
+  return _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t)));
 }
 
 inline __m256i loadu(const std::uint8_t* p) {
@@ -43,9 +42,9 @@ inline void emit(std::uint8_t* dst, __m256i product) {
 
 template <bool Xor>
 void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-            const Element* split) {
-  const __m256i tlo = byte_table256(split, 0, 0);
-  const __m256i thi = byte_table256(split, 1, 0);
+            const std::uint8_t* tables) {
+  const __m256i tlo = table<8>(tables, 0, 0);
+  const __m256i thi = table<8>(tables, 1, 0);
   const __m256i mask = _mm256_set1_epi8(0x0F);
   std::size_t i = 0;
   for (; i + 32 <= bytes; i += 32) {
@@ -58,21 +57,21 @@ void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_ssse3_w8(dst + i, src + i, bytes - i, split);
+      mult_xor_ssse3_w8(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_ssse3_w8(dst + i, src + i, bytes - i, split);
+      mult_over_ssse3_w8(dst + i, src + i, bytes - i, tables);
     }
   }
 }
 
 template <bool Xor>
 void run_w16(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
+             const std::uint8_t* tables) {
   __m256i lo_tab[4];
   __m256i hi_tab[4];
   for (unsigned k = 0; k < 4; ++k) {
-    lo_tab[k] = byte_table256(split, k, 0);
-    hi_tab[k] = byte_table256(split, k, 1);
+    lo_tab[k] = table<16>(tables, k, 0);
+    hi_tab[k] = table<16>(tables, k, 1);
   }
   const __m256i nib = _mm256_set1_epi8(0x0F);
   const __m256i even = _mm256_set1_epi16(0x00FF);
@@ -98,19 +97,19 @@ void run_w16(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_ssse3_w16(dst + i, src + i, bytes - i, split);
+      mult_xor_ssse3_w16(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_ssse3_w16(dst + i, src + i, bytes - i, split);
+      mult_over_ssse3_w16(dst + i, src + i, bytes - i, tables);
     }
   }
 }
 
 template <bool Xor>
 void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
+             const std::uint8_t* tables) {
   __m256i tab[8][4];
   for (unsigned k = 0; k < 8; ++k) {
-    for (unsigned b = 0; b < 4; ++b) tab[k][b] = byte_table256(split, k, b);
+    for (unsigned b = 0; b < 4; ++b) tab[k][b] = table<32>(tables, k, b);
   }
   const __m256i nib = _mm256_set1_epi8(0x0F);
   const __m256i low32 = _mm256_set1_epi32(0x0F);
@@ -138,9 +137,9 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_ssse3_w32(dst + i, src + i, bytes - i, split);
+      mult_xor_ssse3_w32(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_ssse3_w32(dst + i, src + i, bytes - i, split);
+      mult_over_ssse3_w32(dst + i, src + i, bytes - i, tables);
     }
   }
 }
@@ -148,28 +147,28 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
 }  // namespace
 
 void mult_xor_avx2_w8(std::uint8_t* dst, const std::uint8_t* src,
-                      std::size_t bytes, const Element* split) {
-  run_w8<true>(dst, src, bytes, split);
+                      std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<true>(dst, src, bytes, tables);
 }
 void mult_xor_avx2_w16(std::uint8_t* dst, const std::uint8_t* src,
-                       std::size_t bytes, const Element* split) {
-  run_w16<true>(dst, src, bytes, split);
+                       std::size_t bytes, const std::uint8_t* tables) {
+  run_w16<true>(dst, src, bytes, tables);
 }
 void mult_xor_avx2_w32(std::uint8_t* dst, const std::uint8_t* src,
-                       std::size_t bytes, const Element* split) {
-  run_w32<true>(dst, src, bytes, split);
+                       std::size_t bytes, const std::uint8_t* tables) {
+  run_w32<true>(dst, src, bytes, tables);
 }
 void mult_over_avx2_w8(std::uint8_t* dst, const std::uint8_t* src,
-                       std::size_t bytes, const Element* split) {
-  run_w8<false>(dst, src, bytes, split);
+                       std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<false>(dst, src, bytes, tables);
 }
 void mult_over_avx2_w16(std::uint8_t* dst, const std::uint8_t* src,
-                        std::size_t bytes, const Element* split) {
-  run_w16<false>(dst, src, bytes, split);
+                        std::size_t bytes, const std::uint8_t* tables) {
+  run_w16<false>(dst, src, bytes, tables);
 }
 void mult_over_avx2_w32(std::uint8_t* dst, const std::uint8_t* src,
-                        std::size_t bytes, const Element* split) {
-  run_w32<false>(dst, src, bytes, split);
+                        std::size_t bytes, const std::uint8_t* tables) {
+  run_w32<false>(dst, src, bytes, tables);
 }
 
 void xor_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes) {

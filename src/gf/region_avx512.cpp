@@ -1,4 +1,4 @@
-// AVX-512BW region kernels: the split-table algorithm at 512 bits.
+// AVX-512BW region kernels: the nibble-table algorithm at 512 bits.
 // _mm512_shuffle_epi8 shuffles within each 128-bit lane, so the 16-entry
 // tables broadcast to all four lanes and the SSSE3 index math carries over.
 #if defined(__x86_64__) || defined(__i386__)
@@ -13,14 +13,13 @@ namespace ppm::gf::internal {
 
 namespace {
 
-inline __m512i byte_table512(const Element* split, unsigned pos,
-                             unsigned byte_index) {
-  alignas(16) std::uint8_t t[16];
-  for (unsigned v = 0; v < 16; ++v) {
-    t[v] = static_cast<std::uint8_t>(split[16 * pos + v] >> (8 * byte_index));
-  }
-  const __m128i lane = _mm_load_si128(reinterpret_cast<const __m128i*>(t));
-  return _mm512_broadcast_i32x4(lane);
+// The 16-entry table for nibble position k, symbol byte b, in every
+// 128-bit lane.
+template <unsigned W>
+inline __m512i table(const std::uint8_t* tables, unsigned k, unsigned b) {
+  const std::uint8_t* t = tables + nibble_offset<W>(k, b);
+  return _mm512_broadcast_i32x4(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t)));
 }
 
 inline __m512i loadu(const std::uint8_t* p) {
@@ -42,9 +41,9 @@ inline void emit(std::uint8_t* dst, __m512i product) {
 
 template <bool Xor>
 void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-            const Element* split) {
-  const __m512i tlo = byte_table512(split, 0, 0);
-  const __m512i thi = byte_table512(split, 1, 0);
+            const std::uint8_t* tables) {
+  const __m512i tlo = table<8>(tables, 0, 0);
+  const __m512i thi = table<8>(tables, 1, 0);
   const __m512i mask = _mm512_set1_epi8(0x0F);
   std::size_t i = 0;
   for (; i + 64 <= bytes; i += 64) {
@@ -57,21 +56,21 @@ void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_avx2_w8(dst + i, src + i, bytes - i, split);
+      mult_xor_avx2_w8(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_avx2_w8(dst + i, src + i, bytes - i, split);
+      mult_over_avx2_w8(dst + i, src + i, bytes - i, tables);
     }
   }
 }
 
 template <bool Xor>
 void run_w16(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
+             const std::uint8_t* tables) {
   __m512i lo_tab[4];
   __m512i hi_tab[4];
   for (unsigned k = 0; k < 4; ++k) {
-    lo_tab[k] = byte_table512(split, k, 0);
-    hi_tab[k] = byte_table512(split, k, 1);
+    lo_tab[k] = table<16>(tables, k, 0);
+    hi_tab[k] = table<16>(tables, k, 1);
   }
   const __m512i nib = _mm512_set1_epi8(0x0F);
   const __m512i even = _mm512_set1_epi16(0x00FF);
@@ -97,19 +96,19 @@ void run_w16(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_avx2_w16(dst + i, src + i, bytes - i, split);
+      mult_xor_avx2_w16(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_avx2_w16(dst + i, src + i, bytes - i, split);
+      mult_over_avx2_w16(dst + i, src + i, bytes - i, tables);
     }
   }
 }
 
 template <bool Xor>
 void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
+             const std::uint8_t* tables) {
   __m512i tab[8][4];
   for (unsigned k = 0; k < 8; ++k) {
-    for (unsigned b = 0; b < 4; ++b) tab[k][b] = byte_table512(split, k, b);
+    for (unsigned b = 0; b < 4; ++b) tab[k][b] = table<32>(tables, k, b);
   }
   const __m512i nib = _mm512_set1_epi8(0x0F);
   const __m512i low32 = _mm512_set1_epi32(0x0F);
@@ -135,9 +134,9 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_avx2_w32(dst + i, src + i, bytes - i, split);
+      mult_xor_avx2_w32(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_avx2_w32(dst + i, src + i, bytes - i, split);
+      mult_over_avx2_w32(dst + i, src + i, bytes - i, tables);
     }
   }
 }
@@ -145,28 +144,28 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
 }  // namespace
 
 void mult_xor_avx512_w8(std::uint8_t* dst, const std::uint8_t* src,
-                        std::size_t bytes, const Element* split) {
-  run_w8<true>(dst, src, bytes, split);
+                        std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<true>(dst, src, bytes, tables);
 }
 void mult_xor_avx512_w16(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w16<true>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_w16<true>(dst, src, bytes, tables);
 }
 void mult_xor_avx512_w32(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w32<true>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_w32<true>(dst, src, bytes, tables);
 }
 void mult_over_avx512_w8(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w8<false>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<false>(dst, src, bytes, tables);
 }
 void mult_over_avx512_w16(std::uint8_t* dst, const std::uint8_t* src,
-                          std::size_t bytes, const Element* split) {
-  run_w16<false>(dst, src, bytes, split);
+                          std::size_t bytes, const std::uint8_t* tables) {
+  run_w16<false>(dst, src, bytes, tables);
 }
 void mult_over_avx512_w32(std::uint8_t* dst, const std::uint8_t* src,
-                          std::size_t bytes, const Element* split) {
-  run_w32<false>(dst, src, bytes, split);
+                          std::size_t bytes, const std::uint8_t* tables) {
+  run_w32<false>(dst, src, bytes, tables);
 }
 
 void xor_avx512(std::uint8_t* dst, const std::uint8_t* src,

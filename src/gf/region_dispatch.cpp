@@ -16,21 +16,24 @@ constexpr unsigned width_index(unsigned w) {
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-constexpr RegionKernels kTable[3][4] = {
+constexpr RegionKernels kTable[3][5] = {
     // w = 8
     {{mult_xor_scalar_w8, mult_over_scalar_w8, xor_scalar},
      {mult_xor_ssse3_w8, mult_over_ssse3_w8, xor_sse2},
      {mult_xor_avx2_w8, mult_over_avx2_w8, xor_avx2},
-     {mult_xor_avx512_w8, mult_over_avx512_w8, xor_avx512}},
+     {mult_xor_avx512_w8, mult_over_avx512_w8, xor_avx512},
+     {mult_xor_gfni_w8, mult_over_gfni_w8, xor_avx512}},
     // w = 16
     {{mult_xor_scalar_w16, mult_over_scalar_w16, xor_scalar},
      {mult_xor_ssse3_w16, mult_over_ssse3_w16, xor_sse2},
      {mult_xor_avx2_w16, mult_over_avx2_w16, xor_avx2},
-     {mult_xor_avx512_w16, mult_over_avx512_w16, xor_avx512}},
-    // w = 32
+     {mult_xor_avx512_w16, mult_over_avx512_w16, xor_avx512},
+     {mult_xor_gfni_w16, mult_over_gfni_w16, xor_avx512}},
+    // w = 32: no GFNI kernel; the AVX-512 one serves that level
     {{mult_xor_scalar_w32, mult_over_scalar_w32, xor_scalar},
      {mult_xor_ssse3_w32, mult_over_ssse3_w32, xor_sse2},
      {mult_xor_avx2_w32, mult_over_avx2_w32, xor_avx2},
+     {mult_xor_avx512_w32, mult_over_avx512_w32, xor_avx512},
      {mult_xor_avx512_w32, mult_over_avx512_w32, xor_avx512}},
 };
 #else

@@ -1,4 +1,5 @@
-// Portable scalar region kernels: per-symbol nibble split-table lookups.
+// Portable scalar region kernels: per-symbol byte-sliced nibble-table
+// lookups.
 // These are the reference implementations every SIMD kernel is tested
 // against, and the fallback on non-x86 hosts.
 #include <cstring>
@@ -12,9 +13,9 @@ namespace {
 // Shared body for the w=8 kernels; Xor selects accumulate vs overwrite.
 template <bool Xor>
 void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-            const Element* split) {
-  const Element* lo = split;       // c * v
-  const Element* hi = split + 16;  // c * (v << 4)
+            const std::uint8_t* tables) {
+  const std::uint8_t* lo = tables + nibble_offset<8>(0, 0);  // c * v
+  const std::uint8_t* hi = tables + nibble_offset<8>(1, 0);  // c * (v << 4)
   for (std::size_t i = 0; i < bytes; ++i) {
     const auto p =
         static_cast<std::uint8_t>(lo[src[i] & 0xF] ^ hi[src[i] >> 4]);
@@ -26,72 +27,56 @@ void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
 }
 
-template <bool Xor>
-void run_w16(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
-  for (std::size_t i = 0; i + 2 <= bytes; i += 2) {
-    std::uint16_t s;
-    std::memcpy(&s, src + i, 2);
-    const auto p = static_cast<std::uint16_t>(
-        split[s & 0xF] ^ split[16 + ((s >> 4) & 0xF)] ^
-        split[32 + ((s >> 8) & 0xF)] ^ split[48 + (s >> 12)]);
-    if constexpr (Xor) {
-      std::uint16_t d;
-      std::memcpy(&d, dst + i, 2);
-      d ^= p;
-      std::memcpy(dst + i, &d, 2);
-    } else {
-      std::memcpy(dst + i, &p, 2);
-    }
-  }
-}
-
-template <bool Xor>
-void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
-  for (std::size_t i = 0; i + 4 <= bytes; i += 4) {
-    std::uint32_t s;
-    std::memcpy(&s, src + i, 4);
-    std::uint32_t p = 0;
-    for (unsigned k = 0; k < 8; ++k) {
-      p ^= split[16 * k + ((s >> (4 * k)) & 0xF)];
+// w = 16 and 32: byte b of the product is the XOR, over nibble positions
+// k, of table(k, b) at nibble k of the symbol.
+template <unsigned W, bool Xor>
+void run_wide(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
+              const std::uint8_t* tables) {
+  constexpr unsigned kSym = W / 8;
+  for (std::size_t i = 0; i + kSym <= bytes; i += kSym) {
+    Element s = 0;
+    std::memcpy(&s, src + i, kSym);
+    Element p = 0;
+    for (unsigned k = 0; k < W / 4; ++k) {
+      const unsigned v = (s >> (4 * k)) & 0xF;
+      for (unsigned b = 0; b < kSym; ++b) {
+        p ^= Element{tables[nibble_offset<W>(k, b) + v]} << (8 * b);
+      }
     }
     if constexpr (Xor) {
-      std::uint32_t d;
-      std::memcpy(&d, dst + i, 4);
-      d ^= p;
-      std::memcpy(dst + i, &d, 4);
-    } else {
-      std::memcpy(dst + i, &p, 4);
+      Element d = 0;
+      std::memcpy(&d, dst + i, kSym);
+      p ^= d;
     }
+    std::memcpy(dst + i, &p, kSym);
   }
 }
 
 }  // namespace
 
 void mult_xor_scalar_w8(std::uint8_t* dst, const std::uint8_t* src,
-                        std::size_t bytes, const Element* split) {
-  run_w8<true>(dst, src, bytes, split);
+                        std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<true>(dst, src, bytes, tables);
 }
 void mult_xor_scalar_w16(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w16<true>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_wide<16, true>(dst, src, bytes, tables);
 }
 void mult_xor_scalar_w32(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w32<true>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_wide<32, true>(dst, src, bytes, tables);
 }
 void mult_over_scalar_w8(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w8<false>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<false>(dst, src, bytes, tables);
 }
 void mult_over_scalar_w16(std::uint8_t* dst, const std::uint8_t* src,
-                          std::size_t bytes, const Element* split) {
-  run_w16<false>(dst, src, bytes, split);
+                          std::size_t bytes, const std::uint8_t* tables) {
+  run_wide<16, false>(dst, src, bytes, tables);
 }
 void mult_over_scalar_w32(std::uint8_t* dst, const std::uint8_t* src,
-                          std::size_t bytes, const Element* split) {
-  run_w32<false>(dst, src, bytes, split);
+                          std::size_t bytes, const std::uint8_t* tables) {
+  run_wide<32, false>(dst, src, bytes, tables);
 }
 
 void xor_scalar(std::uint8_t* dst, const std::uint8_t* src,

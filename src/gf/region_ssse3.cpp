@@ -1,4 +1,4 @@
-// SSSE3 region kernels: 128-bit pshufb split-nibble-table multiplication,
+// SSSE3 region kernels: 128-bit pshufb nibble-table multiplication,
 // the technique of "Screaming Fast Galois Field Arithmetic Using Intel SIMD
 // Instructions" (Plank et al., FAST'13) that the paper's evaluation uses.
 //
@@ -23,15 +23,11 @@ namespace ppm::gf::internal {
 
 namespace {
 
-// Build one 16-entry pshufb table holding byte `byte_index` of
-// split[16*pos + v] for v in [0,16).
-inline __m128i byte_table(const Element* split, unsigned pos,
-                          unsigned byte_index) {
-  alignas(16) std::uint8_t t[16];
-  for (unsigned v = 0; v < 16; ++v) {
-    t[v] = static_cast<std::uint8_t>(split[16 * pos + v] >> (8 * byte_index));
-  }
-  return _mm_load_si128(reinterpret_cast<const __m128i*>(t));
+// The 16-entry pshufb table for nibble position k, symbol byte b.
+template <unsigned W>
+inline __m128i table(const std::uint8_t* tables, unsigned k, unsigned b) {
+  return _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(tables + nibble_offset<W>(k, b)));
 }
 
 inline __m128i loadu(const std::uint8_t* p) {
@@ -53,9 +49,9 @@ inline void emit(std::uint8_t* dst, __m128i product) {
 
 template <bool Xor>
 void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-            const Element* split) {
-  const __m128i tlo = byte_table(split, 0, 0);
-  const __m128i thi = byte_table(split, 1, 0);
+            const std::uint8_t* tables) {
+  const __m128i tlo = table<8>(tables, 0, 0);
+  const __m128i thi = table<8>(tables, 1, 0);
   const __m128i mask = _mm_set1_epi8(0x0F);
   std::size_t i = 0;
   for (; i + 16 <= bytes; i += 16) {
@@ -68,23 +64,23 @@ void run_w8(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_scalar_w8(dst + i, src + i, bytes - i, split);
+      mult_xor_scalar_w8(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_scalar_w8(dst + i, src + i, bytes - i, split);
+      mult_over_scalar_w8(dst + i, src + i, bytes - i, tables);
     }
   }
 }
 
 template <bool Xor>
 void run_w16(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
-  // Per-output-byte tables: L[k] = low bytes of split position k,
+             const std::uint8_t* tables) {
+  // Per-output-byte tables: L[k] = low bytes of nibble position k,
   // H[k] = high bytes.
   __m128i lo_tab[4];
   __m128i hi_tab[4];
   for (unsigned k = 0; k < 4; ++k) {
-    lo_tab[k] = byte_table(split, k, 0);
-    hi_tab[k] = byte_table(split, k, 1);
+    lo_tab[k] = table<16>(tables, k, 0);
+    hi_tab[k] = table<16>(tables, k, 1);
   }
   const __m128i nib = _mm_set1_epi8(0x0F);
   const __m128i even = _mm_set1_epi16(0x00FF);
@@ -110,19 +106,19 @@ void run_w16(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_scalar_w16(dst + i, src + i, bytes - i, split);
+      mult_xor_scalar_w16(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_scalar_w16(dst + i, src + i, bytes - i, split);
+      mult_over_scalar_w16(dst + i, src + i, bytes - i, tables);
     }
   }
 }
 
 template <bool Xor>
 void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
-             const Element* split) {
+             const std::uint8_t* tables) {
   __m128i tab[8][4];
   for (unsigned k = 0; k < 8; ++k) {
-    for (unsigned b = 0; b < 4; ++b) tab[k][b] = byte_table(split, k, b);
+    for (unsigned b = 0; b < 4; ++b) tab[k][b] = table<32>(tables, k, b);
   }
   const __m128i nib = _mm_set1_epi8(0x0F);
   const __m128i low32 = _mm_set1_epi32(0x0F);
@@ -150,9 +146,9 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
   if (i < bytes) {
     if constexpr (Xor) {
-      mult_xor_scalar_w32(dst + i, src + i, bytes - i, split);
+      mult_xor_scalar_w32(dst + i, src + i, bytes - i, tables);
     } else {
-      mult_over_scalar_w32(dst + i, src + i, bytes - i, split);
+      mult_over_scalar_w32(dst + i, src + i, bytes - i, tables);
     }
   }
 }
@@ -160,28 +156,28 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
 }  // namespace
 
 void mult_xor_ssse3_w8(std::uint8_t* dst, const std::uint8_t* src,
-                       std::size_t bytes, const Element* split) {
-  run_w8<true>(dst, src, bytes, split);
+                       std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<true>(dst, src, bytes, tables);
 }
 void mult_xor_ssse3_w16(std::uint8_t* dst, const std::uint8_t* src,
-                        std::size_t bytes, const Element* split) {
-  run_w16<true>(dst, src, bytes, split);
+                        std::size_t bytes, const std::uint8_t* tables) {
+  run_w16<true>(dst, src, bytes, tables);
 }
 void mult_xor_ssse3_w32(std::uint8_t* dst, const std::uint8_t* src,
-                        std::size_t bytes, const Element* split) {
-  run_w32<true>(dst, src, bytes, split);
+                        std::size_t bytes, const std::uint8_t* tables) {
+  run_w32<true>(dst, src, bytes, tables);
 }
 void mult_over_ssse3_w8(std::uint8_t* dst, const std::uint8_t* src,
-                        std::size_t bytes, const Element* split) {
-  run_w8<false>(dst, src, bytes, split);
+                        std::size_t bytes, const std::uint8_t* tables) {
+  run_w8<false>(dst, src, bytes, tables);
 }
 void mult_over_ssse3_w16(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w16<false>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_w16<false>(dst, src, bytes, tables);
 }
 void mult_over_ssse3_w32(std::uint8_t* dst, const std::uint8_t* src,
-                         std::size_t bytes, const Element* split) {
-  run_w32<false>(dst, src, bytes, split);
+                         std::size_t bytes, const std::uint8_t* tables) {
+  run_w32<false>(dst, src, bytes, tables);
 }
 
 void xor_sse2(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes) {

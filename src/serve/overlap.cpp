@@ -60,6 +60,13 @@ OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
                          std::vector<std::vector<std::uint8_t>>& scratch,
                          const Timer& clock) {
   OverlapResult out;
+  if (block_bytes % codec.code().field().symbol_bytes() != 0) {
+    // Refused before any read, as Codec::decode_resilient refuses it.
+    out.resilient.final_scenario = scenario;
+    out.resilient.unrecoverable.assign(scenario.faulty().begin(),
+                                       scenario.faulty().end());
+    return out;
+  }
   ServeMetrics& metrics = serve_metrics();
 
   const auto remaining_deadline = [&]() -> std::chrono::nanoseconds {

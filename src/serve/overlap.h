@@ -129,8 +129,9 @@ struct OverlapResult {
 /// readiness-overlapped group solves. `source` is the fallback ladder's
 /// (and, when `async` is null, a private reactor's) read path; `async`,
 /// when given, must wrap the same underlying data. `blocks`/`block_bytes`
-/// and `expected_crc` follow Codec::decode_resilient's contract. Returns
-/// only after every read it issued has finished.
+/// and `expected_crc` follow Codec::decode_resilient's contract, which
+/// includes refusing a `block_bytes` that splits a symbol before any read.
+/// Returns only after every read it issued has finished.
 OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
                                 io::BlockSource& source,
                                 std::uint8_t* const* blocks,

@@ -128,10 +128,12 @@ TEST(Cpu, DetectIsStableAndNamed) {
 TEST(Cpu, IsaNamesDistinct) {
   std::set<std::string> names;
   for (const IsaLevel l : {IsaLevel::kScalar, IsaLevel::kSsse3,
-                           IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+                           IsaLevel::kAvx2, IsaLevel::kAvx512,
+                           IsaLevel::kGfni}) {
     names.insert(isa_name(l));
   }
-  EXPECT_EQ(names.size(), 4u);
+  EXPECT_EQ(names.size(), 5u);
+  EXPECT_STREQ(isa_name(IsaLevel::kGfni), "gfni");
 }
 
 TEST(Timer, MonotoneAndResettable) {

@@ -209,5 +209,20 @@ TEST(DegradedRead, BlocksReadStatTracksSurvivors) {
   EXPECT_EQ(stats.blocks_read, 4u);  // local group repair I/O
 }
 
+TEST(DegradedRead, RefusesBlocksThatSplitASymbol) {
+  const SDCode code(6, 4, 2, 2, 16);
+  const DegradedReader reader(code);
+  Stripe stripe(code, 4098);
+  test::fill_and_encode(code, stripe, 6);
+  const FailureScenario sc({0, 1});
+  stripe.erase(sc);
+  const auto erased = stripe.snapshot();
+  DegradedReadError error = DegradedReadError::kNone;
+  EXPECT_FALSE(
+      reader.read(0, sc, stripe.block_ptrs(), 4097, nullptr, &error));
+  EXPECT_EQ(error, DegradedReadError::kBlockSplitsSymbol);
+  EXPECT_TRUE(stripe.equals(erased));
+}
+
 }  // namespace
 }  // namespace ppm

@@ -2,7 +2,10 @@
 // reference, across sizes, alignments and constants, plus the fast paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "common/cpu.h"
 #include "common/rng.h"
@@ -18,6 +21,14 @@ using test::reference_mult_xor;
 class RegionKernelTest
     : public ::testing::TestWithParam<std::tuple<unsigned, IsaLevel>> {
  protected:
+  void SetUp() override {
+    // kernels_for caps a request at detect_isa(); running the capped family
+    // under this level's name would test it twice and this one never.
+    if (isa() > detect_isa()) {
+      GTEST_SKIP() << isa_name(isa()) << " kernels unavailable: this CPU"
+                   << " (or PPM_FORCE_ISA) caps at " << isa_name(detect_isa());
+    }
+  }
   const Field& f() const { return field(std::get<0>(GetParam())); }
   IsaLevel isa() const { return std::get<1>(GetParam()); }
 };
@@ -77,11 +88,42 @@ TEST_P(RegionKernelTest, EveryConstantSmallRegion) {
   }
 }
 
+TEST_P(RegionKernelTest, EveryTailResidue) {
+  // One full 64-byte vector plus every whole-symbol residue of 1..63 bytes,
+  // for both kernels of the family: the GFNI kernels run that residue as
+  // one masked vector, the others hand it down a level. Guard bytes past
+  // the region must survive.
+  Rng rng(21);
+  const unsigned sym = f().symbol_bytes();
+  const RegionKernels& k = kernels_for(f().w(), isa());
+  std::vector<std::uint8_t> tables(operand_bytes(f().w()));
+  constexpr std::size_t kGuard = 64;
+  for (std::size_t tail = sym; tail < 64; tail += sym) {
+    const std::size_t bytes = 64 + tail;
+    const auto src = random_bytes(rng, bytes + kGuard);
+    const Element c =
+        (static_cast<Element>(rng.next()) & f().max_element()) | 2;
+    f().prepare(c, tables.data());
+
+    auto expect = random_bytes(rng, bytes + kGuard);
+    auto actual = expect;
+    reference_mult_xor(f(), expect.data(), src.data(), c, bytes);
+    k.mult_xor(actual.data(), src.data(), bytes, tables.data());
+    EXPECT_EQ(actual, expect) << "mult_xor, tail=" << tail << " c=" << c;
+
+    std::fill(expect.begin(), expect.begin() + bytes, 0);
+    reference_mult_xor(f(), expect.data(), src.data(), c, bytes);
+    k.mult_over(actual.data(), src.data(), bytes, tables.data());
+    EXPECT_EQ(actual, expect) << "mult_over, tail=" << tail << " c=" << c;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, RegionKernelTest,
     ::testing::Combine(::testing::Values(8u, 16u, 32u),
                        ::testing::Values(IsaLevel::kScalar, IsaLevel::kSsse3,
-                                         IsaLevel::kAvx2, IsaLevel::kAvx512)),
+                                         IsaLevel::kAvx2, IsaLevel::kAvx512,
+                                         IsaLevel::kGfni)),
     [](const auto& info) {
       return "w" + std::to_string(std::get<0>(info.param)) + "_" +
              isa_name(std::get<1>(info.param));
@@ -169,6 +211,27 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, RegionSemanticsTest,
                          [](const auto& info) {
                            return "w" + std::to_string(info.param);
                          });
+
+TEST(RegionSizeCheck, SymbolSplittingRegionsThrowUntouched) {
+  // A region must hold whole symbols in Release builds too: a masked GFNI
+  // tail would otherwise write half a symbol.
+  Rng rng(22);
+  for (const unsigned w : {16u, 32u}) {
+    const Field& f = field(w);
+    const std::size_t bytes = 64 * f.symbol_bytes() + 1;
+    const auto src = random_bytes(rng, bytes);
+    auto dst = random_bytes(rng, bytes);
+    const auto before = dst;
+    EXPECT_THROW(f.mult_region_xor(dst.data(), src.data(), 7, bytes),
+                 std::invalid_argument);
+    EXPECT_THROW(f.mult_region(dst.data(), src.data(), 7, bytes),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        f.mult_region_xor_isa(dst.data(), src.data(), 7, bytes, detect_isa()),
+        std::invalid_argument);
+    EXPECT_EQ(dst, before) << "w=" << w;
+  }
+}
 
 TEST(XorRegion, MatchesByteWiseXor) {
   Rng rng(20);

@@ -2,7 +2,9 @@
 // sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "codes/sd_code.h"
 #include "common/rng.h"
@@ -17,6 +19,77 @@ std::vector<std::size_t> all_rows(const Matrix& h) {
   std::vector<std::size_t> rows(h.rows());
   std::iota(rows.begin(), rows.end(), 0);
   return rows;
+}
+
+// Per-symbol reference for SubPlan::execute: the plan's matrices applied
+// with test::reference_mult_xor over whole blocks, no tiles, no kernels.
+// Returns the unknown blocks in plan order.
+std::vector<std::vector<std::uint8_t>> reference_execute(
+    const SubPlan& plan, std::uint8_t* const* blocks, std::size_t bytes) {
+  const gf::Field& f = plan.finv().field();
+  const auto apply = [&](const Matrix& m, const auto& src_of) {
+    std::vector<std::vector<std::uint8_t>> out(
+        m.rows(), std::vector<std::uint8_t>(bytes, 0));
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        test::reference_mult_xor(f, out[i].data(), src_of(j), m(i, j), bytes);
+      }
+    }
+    return out;
+  };
+  const auto survivor = [&](std::size_t j) {
+    return blocks[plan.survivors()[j]];
+  };
+  if (plan.sequence() == Sequence::kMatrixFirst) {
+    return apply(plan.finv(), survivor);
+  }
+  const auto tmp = apply(plan.s(), survivor);
+  return apply(plan.finv(), [&](std::size_t j) { return tmp[j].data(); });
+}
+
+TEST(SubPlan, PartialLastTileMatchesPerSymbolReference) {
+  // Blocks that end in a partial tile: one tile + 2 symbols, and three
+  // tiles + 60 bytes. Both sequences, every width.
+  for (const unsigned w : {8u, 16u, 32u}) {
+    const SDCode code(6, 4, 2, 1, w);
+    const FailureScenario sc({0, 1, 2, 6, 7, 12, 13, 18, 19});
+    for (const std::size_t bytes :
+         {SubPlan::kTileBytes + 2 * (w / 8), 3 * SubPlan::kTileBytes + 60}) {
+      for (const Sequence seq : {Sequence::kNormal, Sequence::kMatrixFirst}) {
+        Stripe stripe(code, bytes);
+        const auto snap = test::fill_and_encode(code, stripe, 31 + w);
+        const auto plan =
+            SubPlan::make(code.parity_check(), all_rows(code.parity_check()),
+                          sc.faulty(), sc.faulty(), seq);
+        ASSERT_TRUE(plan.has_value());
+        const auto expect =
+            reference_execute(*plan, stripe.block_ptrs(), bytes);
+        stripe.erase(sc);
+        plan->execute(stripe.block_ptrs(), bytes);
+        for (std::size_t i = 0; i < plan->unknowns().size(); ++i) {
+          const std::uint8_t* got = stripe.block(plan->unknowns()[i]);
+          EXPECT_TRUE(std::equal(got, got + bytes, expect[i].begin()))
+              << "w=" << w << " bytes=" << bytes << " unknown " << i
+              << " sequence " << static_cast<int>(seq);
+        }
+        EXPECT_TRUE(stripe.equals(snap)) << "w=" << w << " bytes=" << bytes;
+      }
+    }
+  }
+}
+
+TEST(SubPlan, SymbolSplittingBlocksThrowUntouched) {
+  const SDCode code(6, 4, 2, 1, 16);
+  const FailureScenario sc({0, 6});
+  const auto plan =
+      SubPlan::make(code.parity_check(), all_rows(code.parity_check()),
+                    sc.faulty(), sc.faulty(), Sequence::kMatrixFirst);
+  ASSERT_TRUE(plan.has_value());
+  Stripe stripe(code, SubPlan::kTileBytes + 2);
+  const auto snap = test::fill_and_encode(code, stripe, 5);
+  EXPECT_THROW(plan->execute(stripe.block_ptrs(), SubPlan::kTileBytes + 1),
+               std::invalid_argument);
+  EXPECT_TRUE(stripe.equals(snap));
 }
 
 TEST(SubPlan, Fig2WholeSystemCosts) {

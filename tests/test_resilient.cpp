@@ -9,6 +9,7 @@
 #include "codec/codec.h"
 #include "codes/lrc_code.h"
 #include "codes/rs_code.h"
+#include "codes/sd_code.h"
 #include "common/crc32.h"
 #include "common/timer.h"
 #include "io/block_source.h"
@@ -484,6 +485,26 @@ TEST(Resilient, MetricsJsonCarriesResilienceGroup) {
   EXPECT_NE(json.find("\"escalations\":"), std::string::npos);
   EXPECT_NE(json.find("\"partial_decodes\":"), std::string::npos);
   EXPECT_NE(json.find("\"store_failures\":"), std::string::npos);
+}
+
+TEST(Resilient, RefusesBlocksThatSplitASymbol) {
+  // SD(6,4,2,2) over GF(2^16), two lost data blocks, 4097-byte blocks:
+  // each block ends in half a symbol, so nothing may be read or written.
+  const SDCode code(6, 4, 2, 2, 16);
+  Codec codec(code);
+  Stripe stripe(code, 4098);
+  const auto snap = test::fill_and_encode(code, stripe, 3);
+  const FailureScenario sc({0, 1});
+  stripe.erase(sc);
+  const auto erased = stripe.snapshot();
+  const auto ptrs = snapshot_ptrs(snap, code.total_blocks(), 4098);
+  MemoryBlockSource source(ptrs.data(), code.total_blocks(), 4097);
+  const auto out =
+      codec.decode_resilient(sc, source, stripe.block_ptrs(), 4097);
+  EXPECT_FALSE(out.complete);
+  EXPECT_TRUE(out.recovered.empty());
+  EXPECT_EQ(out.unrecoverable, (std::vector<std::size_t>{0, 1}));
+  EXPECT_TRUE(stripe.equals(erased));
 }
 
 }  // namespace

@@ -859,5 +859,35 @@ TEST(ServeMetricsJson, HasStableKeysAndResets) {
   EXPECT_EQ(m.queue_seconds.count(), 0u);
 }
 
+TEST(Overlap, RefusesBlocksThatSplitASymbol) {
+  // Both overloads refuse 4097-byte GF(2^16) blocks before any read.
+  const SDCode code(6, 4, 2, 2, 16);
+  Codec codec(code);
+  Stripe stripe(code, 4098);
+  const auto snap = test::fill_and_encode(code, stripe, 4);
+  const FailureScenario sc({0, 1});
+  stripe.erase(sc);
+  const auto erased = stripe.snapshot();
+  const auto ptrs = snapshot_ptrs(snap, code.total_blocks(), 4098);
+  MemoryBlockSource source(ptrs.data(), code.total_blocks(), 4097);
+
+  const auto standalone = serve::decode_overlapped(codec, sc, source,
+                                                   stripe.block_ptrs(), 4097);
+  EXPECT_FALSE(standalone.complete);
+  EXPECT_EQ(standalone.reads_issued, 0u);
+  EXPECT_EQ(standalone.resilient.unrecoverable,
+            (std::vector<std::size_t>{0, 1}));
+  EXPECT_TRUE(stripe.equals(erased));
+
+  serve::Reactor reactor(1);
+  serve::OverlapTail tail;
+  const auto served =
+      serve::decode_overlapped(codec, sc, source, stripe.block_ptrs(), 4097,
+                               {}, {}, reactor, tail);
+  EXPECT_FALSE(served.complete);
+  EXPECT_EQ(served.reads_issued, 0u);
+  EXPECT_TRUE(stripe.equals(erased));
+}
+
 }  // namespace
 }  // namespace ppm

@@ -1,6 +1,9 @@
 // Incremental parity updates (the small-write path).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "codec/update.h"
 #include "codes/lrc_code.h"
 #include "codes/rs_code.h"
@@ -152,6 +155,18 @@ TEST(UpdatePlanner, WorksOnCrsAndXorbas) {
   EXPECT_EQ(xp.affected_parities(1).size(), 6u);
   xp.apply_write(1, bytes.data(), xs.block_ptrs(), 256);
   EXPECT_TRUE(stripe_consistent(xb, xs.block_ptrs(), 256));
+}
+
+TEST(UpdatePlanner, RefusesBlocksThatSplitASymbol) {
+  const SDCode code(6, 4, 2, 2, 16);
+  const UpdatePlanner planner(code);
+  Stripe stripe(code, 4098);
+  const auto before = test::fill_and_encode(code, stripe, 7);
+  const std::vector<std::uint8_t> new_data(4098, 0x5A);
+  EXPECT_THROW(
+      planner.apply_write(0, new_data.data(), stripe.block_ptrs(), 4097),
+      std::invalid_argument);
+  EXPECT_TRUE(stripe.equals(before));
 }
 
 }  // namespace
