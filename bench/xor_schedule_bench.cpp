@@ -105,9 +105,7 @@ void report(const char* label, const ErasureCode& code,
   std::vector<double> tn;
   std::vector<double> ts;
   std::vector<double> to;
-  std::vector<double> tp;
   naive();  // warm-up
-  ParallelXorReport par_report;
   for (std::size_t rep = 0; rep < bench::reps(); ++rep) {
     Timer t1;
     naive();
@@ -115,9 +113,8 @@ void report(const char* label, const ErasureCode& code,
     Timer t2;
     execute_xor_schedule(*schedule, srcs.data(), tgts.data(), block);
     ts.push_back(t2.seconds());
-    // Snapshot the serial result; the optimized and unit-parallel runs
-    // below must both reproduce it byte-identically (every rewrite and
-    // the DAG dispatch are execution-order/op-count changes only).
+    // Snapshot the serial result; the optimized run below must reproduce
+    // it byte-identically (every rewrite is an op-count change only).
     std::vector<std::vector<std::uint8_t>> serial_out;
     for (std::size_t r = 0; r < g.rows(); ++r) {
       serial_out.emplace_back(tgts[r], tgts[r] + block);
@@ -133,30 +130,14 @@ void report(const char* label, const ErasureCode& code,
         std::exit(1);
       }
     }
-    // At least 4 workers so the DAG dispatch engages even on a 1-core
-    // host (the W column reports what actually ran).
-    Timer t3;
-    par_report = execute_xor_schedule_parallel(
-        *schedule, g.rows(), srcs.data(), tgts.data(), block,
-        std::max(4u, hardware_threads()));
-    tp.push_back(t3.seconds());
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      if (std::memcmp(serial_out[r].data(), tgts[r], block) != 0) {
-        std::fprintf(stderr, "%s: parallel output differs on target %zu\n",
-                     label, r);
-        std::exit(1);
-      }
-    }
   }
-  std::printf("%-22s %8zu %8zu %8zu %7.1f%% %9.3fms %9.3fms %9.3fms %9.3fms/%u"
+  std::printf("%-22s %8zu %8zu %8zu %7.1f%% %9.3fms %9.3fms %9.3fms"
               " %7zu %7.2fx\n",
               label, schedule->naive_ops, schedule->cost(),
               optimized.schedule.cost(), 100 * optimized.schedule.saving(),
               bench::median(std::move(tn)) * 1e3,
               bench::median(std::move(ts)) * 1e3,
               bench::median(std::move(to)) * 1e3,
-              bench::median(std::move(tp)) * 1e3,
-              par_report.parallel ? par_report.workers : 1,
               analysis.critical_path, analysis.speedup_bound());
 }
 
@@ -164,9 +145,9 @@ void report(const char* label, const ErasureCode& code,
 
 int main() {
   bench::banner("Extension", "incremental XOR schedule vs naive (binary codes)");
-  std::printf("%-22s %8s %8s %8s %8s %10s %10s %10s %12s %7s %8s\n",
+  std::printf("%-22s %8s %8s %8s %8s %10s %10s %10s %7s %8s\n",
               "code/failure", "naive", "sched", "opt", "saving", "t-naive",
-              "t-sched", "t-opt", "t-par/W", "cpath", "maxspd");
+              "t-sched", "t-opt", "cpath", "maxspd");
 
   {
     const CRSCode code(8, 2, 8);

@@ -9,8 +9,6 @@
 #include "decode/block_parallel_decoder.h"
 #include "decode/log_table.h"
 #include "decode/partition.h"
-#include "decode/xor_schedule.h"
-#include "optimize_xor/xoropt.h"
 #include "parallel/task_group.h"
 #include "plan_store/plan_store.h"
 #include "verify_plan/plan_verify.h"
@@ -161,33 +159,6 @@ std::shared_ptr<CachedPlan> Codec::build_plan(
   plan->profile_.max_width = analysis.max_width;
   plan->profile_.level_width = analysis.level_width;
   plan->profile_.hazard_free = analysis.ok();
-  // Superoptimize every binary sub-system's XOR schedule when asked. Each
-  // accepted rewrite already carries its proof (xoropt gates on symbolic
-  // replay + hazard re-analysis); a sub-system whose every rewrite was
-  // rejected still attaches its greedy schedule — the plan is never worse
-  // off for having tried.
-  if (options_.optimize_xor) {
-    const auto optimize_sub = [&](const SubPlan& sub, std::size_t index) {
-      const Matrix& applied =
-          sub.sequence() == Sequence::kMatrixFirst ? sub.finv() : sub.s();
-      const auto base = plan_xor_schedule(applied);
-      if (!base.has_value()) return;  // non-binary system: no XOR schedule
-      auto result = xoropt::optimize(applied, *base);
-      plan->xoropt_stats_.passes += result.stats.passes;
-      plan->xoropt_stats_.rewrites_accepted += result.stats.rewrites_accepted;
-      plan->xoropt_stats_.rewrites_rejected += result.stats.rewrites_rejected;
-      plan->xoropt_stats_.ops_saved += result.stats.ops_saved;
-      plan->xoropt_stats_.temps += result.stats.temps;
-      plan->schedules_.push_back(
-          PlanSchedule{index, std::move(result.schedule)});
-    };
-    for (std::size_t i = 0; i < plan->group_plans_.size(); ++i) {
-      optimize_sub(plan->group_plans_[i], i);
-    }
-    if (plan->rest_plan_.has_value()) {
-      optimize_sub(*plan->rest_plan_, plan->group_plans_.size());
-    }
-  }
   return plan;
 }
 
@@ -216,10 +187,6 @@ std::shared_ptr<const CachedPlan> Codec::plan_for(
   metrics_.plans_analyzed.add();
   metrics_.analyzed_work.add(plan->profile().work);
   metrics_.analyzed_critical_path.add(plan->profile().critical_path);
-  metrics_.xoropt_passes.add(plan->xoropt_stats().passes);
-  metrics_.xoropt_rewrites_accepted.add(plan->xoropt_stats().rewrites_accepted);
-  metrics_.xoropt_rewrites_rejected.add(plan->xoropt_stats().rewrites_rejected);
-  metrics_.xoropt_ops_saved.add(plan->xoropt_stats().ops_saved);
   if (!plan->profile().hazard_free) {
     metrics_.hazard_failures.add();
 #ifdef PPM_VERIFY_PLANS

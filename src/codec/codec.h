@@ -42,8 +42,6 @@
 #include "decode/plan.h"
 #include "decode/ppm_decoder.h"
 #include "decode/scenario.h"
-#include "decode/xor_schedule.h"
-#include "optimize_xor/xoropt.h"
 #include "parallel/thread_pool.h"
 
 namespace ppm {
@@ -80,15 +78,6 @@ struct PlanProfile {
   bool operator==(const PlanProfile&) const = default;
 };
 
-/// A superoptimized XOR schedule for one binary sub-system of a plan,
-/// attached only after it carried a passing xoropt proof (symbolic GF(2)
-/// replay + hazard re-analysis). `sub` indexes CachedPlan::groups();
-/// sub == groups().size() refers to the rest() sub-plan.
-struct PlanSchedule {
-  std::size_t sub = 0;
-  XorSchedule schedule;
-};
-
 /// A fully planned PPM decode, reusable across stripes with the same
 /// failure scenario. Thread-safe to execute concurrently on distinct
 /// stripes or on disjoint slices of one stripe.
@@ -116,17 +105,6 @@ class CachedPlan {
   /// therefore include group-recovered blocks).
   const std::optional<SubPlan>& rest() const { return rest_plan_; }
 
-  /// Proof-carrying optimized XOR schedules for the plan's binary
-  /// sub-systems, one per entry (empty unless the codec was built with
-  /// Options::optimize_xor and at least one rewrite proved out). Each
-  /// schedule passed xoropt::prove against its sub-plan's applied matrix
-  /// when it was attached; the plan store re-proves on every reload.
-  std::span<const PlanSchedule> schedules() const { return schedules_; }
-
-  /// Aggregate optimizer statistics over every sub-system the pipeline
-  /// ran on (all-zero when Options::optimize_xor is off).
-  const xoropt::Stats& xoropt_stats() const { return xoropt_stats_; }
-
   /// Assemble a plan from explicit sub-plans, bypassing the planner. For
   /// verification tooling and tests (verify_plan/ exercises hand-corrupted
   /// plans); nothing is validated here.
@@ -139,8 +117,6 @@ class CachedPlan {
   std::vector<SubPlan> group_plans_;
   std::optional<SubPlan> rest_plan_;
   PlanProfile profile_;
-  std::vector<PlanSchedule> schedules_;
-  xoropt::Stats xoropt_stats_;
 };
 
 struct BatchResult {
@@ -162,12 +138,6 @@ class Codec {
     /// deterministic eviction order); more shards reduce lock contention
     /// but evict per shard rather than globally.
     std::size_t cache_shards = 0;
-    /// Run the proof-carrying XOR-schedule superoptimizer
-    /// (optimize_xor/xoropt.h) over every binary sub-system when a plan
-    /// is built, and attach the proven schedules to the CachedPlan (and,
-    /// through the store, to disk). Off by default: planning cost grows
-    /// and only binary (CRS/EVENODD/RDP/STAR-style) systems benefit.
-    bool optimize_xor = false;
   };
 
   /// Region-op bytes (plan cost × block bytes) one slice must carry to be

@@ -32,13 +32,6 @@ std::chrono::nanoseconds backoff_delay(const ResilienceOptions& options,
 }
 
 std::chrono::nanoseconds backoff_delay(const ResilienceOptions& options,
-                                       std::size_t retry_index,
-                                       std::chrono::nanoseconds remaining) {
-  if (remaining.count() <= 0) return std::chrono::nanoseconds{0};
-  return std::min(backoff_delay(options, retry_index), remaining);
-}
-
-std::chrono::nanoseconds backoff_delay(const ResilienceOptions& options,
                                        std::size_t retry_index, Rng& rng) {
   const std::chrono::nanoseconds base = backoff_delay(options, retry_index);
   double jitter = options.backoff_jitter;

@@ -78,14 +78,6 @@ struct ResilienceOptions {
 std::chrono::nanoseconds backoff_delay(const ResilienceOptions& options,
                                        std::size_t retry_index);
 
-/// Deadline-aware overload: the same exponential backoff, additionally
-/// clamped to the `remaining` wall-clock budget (zero when the budget is
-/// spent). This is the sleep the resilient pipeline actually issues — a
-/// near-expired deadline can never oversleep. Pure, like the base form.
-std::chrono::nanoseconds backoff_delay(const ResilienceOptions& options,
-                                       std::size_t retry_index,
-                                       std::chrono::nanoseconds remaining);
-
 /// Jittered overload: the exponential backoff for `retry_index`, scaled
 /// by a uniform draw from `rng` into [(1 - backoff_jitter) * base, base].
 /// With backoff_jitter == 0 no draw is consumed and the result equals the

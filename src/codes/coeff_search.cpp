@@ -37,7 +37,6 @@ coeffsearch::CertifyOptions construction_options() {
   opts.exact_class_limit = 200'000;
   opts.stratified_classes = 20'000;
   opts.plan_budget = 32;
-  opts.optimize_xor = true;
   return opts;
 }
 
@@ -54,7 +53,6 @@ bool validate_sd_coefficients(std::size_t n, std::size_t r, std::size_t m,
   // tuples want the decodability verdict, not a plan profile.
   coeffsearch::CertifyOptions opts = construction_options();
   opts.plan_budget = 0;
-  opts.optimize_xor = false;
   return coeffsearch::certify_tuple(g, coeffs, opts).certified;
 }
 

@@ -111,10 +111,6 @@ void CodecMetrics::reset() {
   resilience_partial_decodes.reset();
   resilience_deadline_exceeded.reset();
   resilience_corruption_detected.reset();
-  xoropt_passes.reset();
-  xoropt_rewrites_accepted.reset();
-  xoropt_rewrites_rejected.reset();
-  xoropt_ops_saved.reset();
   decodes.reset();
   batches.reset();
   stripes_decoded.reset();
@@ -156,11 +152,6 @@ std::string CodecMetrics::to_json() const {
   append_kv(out, "deadline_exceeded", resilience_deadline_exceeded.value());
   append_kv(out, "corruption_detected",
             resilience_corruption_detected.value(), false);
-  out += "},\"xoropt\":{";
-  append_kv(out, "passes", xoropt_passes.value());
-  append_kv(out, "rewrites_accepted", xoropt_rewrites_accepted.value());
-  append_kv(out, "rewrites_rejected", xoropt_rewrites_rejected.value());
-  append_kv(out, "ops_saved", xoropt_ops_saved.value(), false);
   out += "},\"decode\":{";
   append_kv(out, "decodes", decodes.value());
   append_kv(out, "batches", batches.value());

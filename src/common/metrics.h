@@ -161,16 +161,6 @@ struct CodecMetrics {
   Counter resilience_deadline_exceeded;   ///< decodes that ran out of budget
   Counter resilience_corruption_detected; ///< expected-CRC mismatches
 
-  // Proof-carrying XOR-schedule superoptimizer (optimize_xor/; populated
-  // when the codec runs with Options::optimize_xor). Accepted rewrites
-  // carried a full proof — symbolic GF(2) replay plus hazard re-analysis
-  // — when they were counted; rejected ones were discarded without ever
-  // touching a decode.
-  Counter xoropt_passes;             ///< rewrite candidates attempted
-  Counter xoropt_rewrites_accepted;  ///< candidates that proved out
-  Counter xoropt_rewrites_rejected;  ///< failed proof or regressed cost
-  Counter xoropt_ops_saved;          ///< Σ XOR ops removed vs greedy schedules
-
   // Decode volume.
   Counter decodes;          ///< single-stripe decode() calls
   Counter batches;          ///< decode_batch() calls

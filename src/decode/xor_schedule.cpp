@@ -6,7 +6,6 @@
 
 #include "common/aligned_buffer.h"
 #include "gf/galois_field.h"
-#include "parallel/dag_executor.h"
 
 namespace ppm {
 
@@ -168,120 +167,6 @@ void execute_xor_schedule(const XorSchedule& schedule, std::size_t rows,
     regs[rows + t] = scratch.back().data();
   }
   execute_xor_schedule(schedule, sources, regs.data(), bytes);
-}
-
-ParallelXorReport execute_xor_schedule_parallel(
-    const XorSchedule& schedule, std::size_t rows,
-    std::uint8_t* const* sources, std::uint8_t* const* targets,
-    std::size_t bytes, unsigned threads) {
-  ParallelXorReport report;
-  const auto serial = [&] {
-    execute_xor_schedule(schedule, rows, sources, targets, bytes);
-    return report;
-  };
-  // The register file: target rows plus the optimizer's temporaries, each
-  // temp its own schedulable unit over a scratch region.
-  const std::size_t regs = rows + schedule.temps;
-  if (threads < 2 || regs < 2 || schedule.ops.empty()) return serial();
-
-  // One pass: per-unit op lists (span ranges interleave across registers,
-  // so the unit is the *subsequence* of ops with that register, not a
-  // contiguous range), spans for the finalized-before-start proof, and the
-  // bounds/self-reference screen. Any malformation: hand the schedule to
-  // the serial executor unchanged, exactly as callers ran it before.
-  std::vector<TargetSpan> spans(regs);
-  std::vector<std::vector<std::size_t>> unit_ops(regs);
-  for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
-    const XorOp& op = schedule.ops[i];
-    if (op.target >= regs) return serial();
-    if (op.from_output && (op.source >= regs || op.source == op.target)) {
-      return serial();
-    }
-    if (spans[op.target].first_op == kNoOp) spans[op.target].first_op = i;
-    spans[op.target].last_op = i;
-    unit_ops[op.target].push_back(i);
-  }
-
-  // Happens-before edges from the from_output reads; safe to act on only
-  // when every producer span finalizes before the consumer's first op
-  // (the analyzer's unordered_from_output_use condition). Edges then
-  // always point from an earlier first_op to a later one, so the unit
-  // graph is acyclic by construction.
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  for (const XorOp& op : schedule.ops) {
-    if (!op.from_output) continue;
-    if (spans[op.source].first_op == kNoOp ||
-        spans[op.source].last_op > spans[op.target].first_op) {
-      return serial();
-    }
-    const auto edge = std::make_pair(op.source, op.target);
-    if (std::find(edges.begin(), edges.end(), edge) == edges.end()) {
-      edges.push_back(edge);
-    }
-  }
-
-  // Width profile: with every level single-file there is nothing to
-  // overlap and the dispatch machinery is pure overhead. Edges were
-  // discovered in increasing consumer-first-op order — a topological
-  // order, given the span check above — so one in-order relaxation
-  // computes exact levels.
-  std::size_t units = 0;
-  for (std::size_t t = 0; t < regs; ++t) {
-    if (!unit_ops[t].empty()) ++units;
-  }
-  std::vector<std::size_t> level(regs, 0);
-  std::vector<std::size_t> level_count;
-  for (const auto& [from, to] : edges) {
-    level[to] = std::max(level[to], level[from] + 1);
-  }
-  for (std::size_t t = 0; t < regs; ++t) {
-    if (unit_ops[t].empty()) continue;
-    if (level[t] >= level_count.size()) level_count.resize(level[t] + 1, 0);
-    ++level_count[level[t]];
-  }
-  report.units = units;
-  for (const std::size_t w : level_count) {
-    report.max_width = std::max(report.max_width, w);
-  }
-  if (units < 2 || report.max_width < 2) return serial();
-
-  // Scratch regions for the temporary registers (uninitialized: their
-  // first op is an overwrite, enforced by the span proof above having
-  // been planned by a proof-gated optimizer; a malformed eager read would
-  // have fallen back to serial via the from_output span check).
-  std::vector<AlignedBuffer> scratch;
-  std::vector<std::uint8_t*> reg_ptrs(regs);
-  for (std::size_t r = 0; r < rows; ++r) reg_ptrs[r] = targets[r];
-  scratch.reserve(schedule.temps);
-  for (std::size_t t = 0; t < schedule.temps; ++t) {
-    scratch.push_back(AlignedBuffer::uninitialized(bytes));
-    reg_ptrs[rows + t] = scratch.back().data();
-  }
-
-  // Dispatch: each unit runs its ops in stream order; heaviest ready unit
-  // first (LPT over the DAG). Empty units complete instantly, releasing
-  // any (degenerate) dependents.
-  std::vector<std::size_t> weight(regs, 0);
-  for (std::size_t t = 0; t < regs; ++t) weight[t] = unit_ops[t].size();
-  const auto run_unit = [&](std::size_t t) {
-    for (const std::size_t i : unit_ops[t]) {
-      const XorOp& op = schedule.ops[i];
-      const std::uint8_t* src =
-          op.from_output ? reg_ptrs[op.source] : sources[op.source];
-      if (op.overwrite) {
-        std::memcpy(reg_ptrs[op.target], src, bytes);
-      } else {
-        gf::xor_region(reg_ptrs[op.target], src, bytes);
-      }
-    }
-  };
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(threads, report.max_width));
-  const DagRunReport run = run_unit_dag(regs, edges, workers, run_unit, weight);
-  if (!run.ran) return serial();  // unreachable: edges are acyclic
-  report.parallel = true;
-  report.workers = run.workers_used;
-  return report;
 }
 
 }  // namespace ppm

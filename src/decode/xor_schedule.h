@@ -34,8 +34,8 @@ struct XorOp {
 /// subexpressions shared across target rows. `from_output` sources index
 /// the combined register space. The greedy planner never emits
 /// temporaries (temps == 0); every consumer of a schedule with temps must
-/// size its register file as rows + temps (the executors below allocate
-/// the scratch regions themselves).
+/// size its register file as rows + temps (the temps-aware executor below
+/// allocates the scratch regions itself).
 struct XorSchedule {
   std::vector<XorOp> ops;
   std::size_t naive_ops = 0;  ///< u(G): nonzero count of the matrix
@@ -103,34 +103,5 @@ void execute_xor_schedule(const XorSchedule& schedule,
 void execute_xor_schedule(const XorSchedule& schedule, std::size_t rows,
                           std::uint8_t* const* sources,
                           std::uint8_t* const* targets, std::size_t bytes);
-
-/// What execute_xor_schedule_parallel actually did.
-struct ParallelXorReport {
-  bool parallel = false;  ///< false = serial fallback ran (output identical)
-  unsigned workers = 0;   ///< worker threads used on the parallel path
-  std::size_t units = 0;      ///< target units dispatched
-  std::size_t max_width = 0;  ///< peak concurrently-dispatchable units
-};
-
-/// Unit-parallel execution of `schedule` over a `rows`-target system:
-/// each register's op subsequence is one unit (temporaries get their own
-/// scratch-backed units), dispatched the moment every
-/// register it reads via from_output is finalized (completion signaling,
-/// not level barriers), on up to `threads` workers. Output is
-/// byte-identical to execute_xor_schedule for any schedule this function
-/// accepts, because ops within a unit keep their stream order and
-/// cross-unit reads only see finalized targets.
-///
-/// Serial fallback (report.parallel == false, semantics unchanged) when
-/// the schedule has no exploitable width or is not provably safe to
-/// unit-parallelize: threads < 2, fewer than two units, peak width < 2, a
-/// target or from_output source out of range, a from_output
-/// self-reference, or a from_output source whose span is not finalized
-/// before the consuming unit's first op (the analyzer's
-/// `unordered_from_output_use`).
-ParallelXorReport execute_xor_schedule_parallel(
-    const XorSchedule& schedule, std::size_t rows,
-    std::uint8_t* const* sources, std::uint8_t* const* targets,
-    std::size_t bytes, unsigned threads);
 
 }  // namespace ppm

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "analyze_hazard/hazard.h"
-#include "optimize_xor/xoropt.h"
 #include "verify_plan/plan_verify.h"
 
 namespace ppm::planstore {
@@ -36,19 +35,6 @@ void put_matrix(std::vector<std::uint8_t>& out, const Matrix& m) {
   put_u32(out, static_cast<std::uint32_t>(m.rows()));
   put_u32(out, static_cast<std::uint32_t>(m.cols()));
   for (const gf::Element e : m.data()) put_u32(out, e);
-}
-
-void put_schedule(std::vector<std::uint8_t>& out, const PlanSchedule& ps) {
-  put_u32(out, static_cast<std::uint32_t>(ps.sub));
-  put_u64(out, ps.schedule.temps);
-  put_u64(out, ps.schedule.naive_ops);
-  put_u32(out, static_cast<std::uint32_t>(ps.schedule.ops.size()));
-  for (const XorOp& op : ps.schedule.ops) {
-    put_u8(out, static_cast<std::uint8_t>((op.from_output ? 1u : 0u) |
-                                          (op.overwrite ? 2u : 0u)));
-    put_u64(out, op.source);
-    put_u64(out, op.target);
-  }
 }
 
 void put_subplan(std::vector<std::uint8_t>& out, const SubPlan& sub) {
@@ -126,29 +112,6 @@ struct Reader {
     return m;
   }
 };
-
-std::optional<PlanSchedule> read_schedule(Reader& r) {
-  PlanSchedule ps;
-  ps.sub = static_cast<std::size_t>(r.u32());
-  ps.schedule.temps = static_cast<std::size_t>(r.u64());
-  ps.schedule.naive_ops = static_cast<std::size_t>(r.u64());
-  const std::uint32_t op_count = r.u32();
-  // Corrupt lengths must not drive allocation: each op is 17 bytes.
-  if (!r.ok || op_count > r.remaining() / 17) return std::nullopt;
-  ps.schedule.ops.reserve(op_count);
-  for (std::uint32_t i = 0; i < op_count; ++i) {
-    const std::uint8_t flags = r.u8();
-    if (!r.ok || flags > 3) return std::nullopt;
-    XorOp op;
-    op.from_output = (flags & 1u) != 0;
-    op.overwrite = (flags & 2u) != 0;
-    op.source = static_cast<std::size_t>(r.u64());
-    op.target = static_cast<std::size_t>(r.u64());
-    ps.schedule.ops.push_back(op);
-  }
-  if (!r.ok) return std::nullopt;
-  return ps;
-}
 
 std::optional<SubPlan> read_subplan(Reader& r, const gf::Field& f) {
   const std::uint8_t seq_raw = r.u8();
@@ -252,28 +215,11 @@ std::optional<StoredPlan> parse_payload(std::string_view bytes,
     if (!rest.has_value()) return reject(error, "bad rest sub-plan");
   }
 
-  const std::uint32_t sched_count = r.u32();
-  if (!r.ok || sched_count > r.remaining()) {
-    return reject(error, "bad schedule count");
-  }
-  std::vector<PlanSchedule> schedules;
-  schedules.reserve(sched_count);
-  for (std::uint32_t i = 0; i < sched_count; ++i) {
-    auto ps = read_schedule(r);
-    // The sub index must resolve to a sub-plan of THIS record (the value
-    // groups.size() is the rest plan, valid only when one exists).
-    if (!ps.has_value() || ps->sub > group_count ||
-        (ps->sub == group_count && has_rest == 0)) {
-      return reject(error, "bad optimized schedule");
-    }
-    schedules.push_back(std::move(*ps));
-  }
-
   if (!r.ok || r.remaining() != 0) return reject(error, "trailing bytes");
 
   StoredPlan stored{FailureScenario(faulty),
                     CachedPlan::assemble(std::move(groups), std::move(rest)),
-                    std::move(prof), std::move(schedules)};
+                    std::move(prof)};
   return stored;
 }
 
@@ -301,9 +247,6 @@ std::vector<std::uint8_t> plan_payload(const ErasureCode& code,
   for (const SubPlan& sub : plan.groups()) put_subplan(payload, sub);
   put_u8(payload, plan.rest().has_value() ? 1 : 0);
   if (plan.rest().has_value()) put_subplan(payload, *plan.rest());
-
-  put_u32(payload, static_cast<std::uint32_t>(plan.schedules().size()));
-  for (const PlanSchedule& ps : plan.schedules()) put_schedule(payload, ps);
 
   return payload;
 }
@@ -392,25 +335,7 @@ SealedDir::Accept PlanStore::reprove(const ErasureCode& code,
     if (!(fresh == stored->stored_profile)) {
       return fail("stored profile disagrees with re-analysis");
     }
-
-    // Optimized XOR schedules get the same zero trust as the plan itself:
-    // each one must re-prove — symbolic GF(2) replay against its
-    // sub-plan's applied matrix plus hazard re-analysis — before it is
-    // attached. A single failed proof condemns the record; the rebuilt
-    // plan simply re-optimizes from scratch.
-    for (const PlanSchedule& ps : stored->schedules) {
-      const SubPlan& sub = ps.sub < stored->plan.groups().size()
-                               ? stored->plan.groups()[ps.sub]
-                               : *stored->plan.rest();
-      const Matrix& applied =
-          sub.sequence() == Sequence::kMatrixFirst ? sub.finv() : sub.s();
-      const auto violations = xoropt::prove(applied, ps.schedule);
-      if (!violations.empty()) {
-        return fail("schedule re-proof: " + planverify::to_json(violations));
-      }
-    }
     if (out == nullptr) return true;
-    stored->plan.schedules_ = std::move(stored->schedules);
     stored->plan.profile_ = fresh;  // install the RECOMPUTED profile
     if (scenario_out != nullptr) *scenario_out = stored->scenario;
     *out = std::make_shared<const CachedPlan>(std::move(stored->plan));

@@ -11,21 +11,17 @@
 // Record format: one sealed record per plan (common/sealed_dir.h), a
 // "PPMPLAN <version> <crc32 hex> <len>\n" header over a little-endian
 // binary payload — identity (code-signature digest and text, field
-// width, faulty set), the PlanProfile, every sub-plan, then the
-// optimized XOR schedules. docs/PLAN_STORE.md §2 lays it out by field.
+// width, faulty set), the PlanProfile, then every sub-plan.
+// docs/PLAN_STORE.md §2 lays it out by field.
 //
 // ZERO-TRUST LOAD CONTRACT: bytes from disk are never executed on faith.
 // Every load re-proves the record — CRC + structural parse with bounds
 // and field-range checks, then planverify::verify_plan (independent
 // algebraic recomputation) and hazard::analyze_plan (race-freedom for all
 // interleavings), plus a cross-check of the stored profile against the
-// fresh analysis. Superoptimized XOR schedules riding on the record are
-// held to the same standard: each one is re-proved with xoropt::prove
-// (symbolic GF(2) replay against the sub-plan's applied matrix + hazard
-// re-analysis) before it is attached — a schedule proof failure
-// quarantines the whole record. A record failing ANY step is quarantined
-// — renamed to "<name>.quarantined" (removed if that rename fails), never
-// served — and the caller rebuilds from the code itself.
+// fresh analysis. A record failing ANY step is quarantined — renamed to
+// "<name>.quarantined" (removed if that rename fails), never served — and
+// the caller rebuilds from the code itself.
 // docs/PLAN_STORE.md documents the format and the contract; `ppm_cli
 // store {build,ls,check,gc}` operates stores offline.
 //
@@ -55,9 +51,10 @@
 namespace ppm::planstore {
 
 /// On-disk format version; bumped on any layout change. Records with a
-/// different version never parse (they quarantine and rebuild). v2 added
-/// the optimized-XOR-schedule section; v3 moved to the shared text seal.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// different version never parse (they quarantine and rebuild). v3 moved
+/// to the shared text seal; v4 dropped the optimized-XOR-schedule section
+/// v2 had appended to the payload.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Serialize one verified plan into a self-contained sealed record (see
 /// the format comment above).
@@ -68,14 +65,11 @@ std::vector<std::uint8_t> serialize_plan(const ErasureCode& code,
 /// A structurally parsed record. `plan` carries a default profile — the
 /// stored one is returned separately as UNTRUSTED data for cross-checking
 /// against a fresh hazard analysis; PlanStore::load installs the fresh
-/// profile after re-verification. `schedules` likewise holds the record's
-/// optimized XOR schedules as UNTRUSTED data — the loader attaches them
-/// to the plan only after each re-proves with xoropt::prove.
+/// profile after re-verification.
 struct StoredPlan {
   FailureScenario scenario;
   CachedPlan plan;
   PlanProfile stored_profile;
-  std::vector<PlanSchedule> schedules;
 };
 
 /// Structural parse of a record: magic, version, CRC, bounds, field-range

@@ -58,7 +58,6 @@
 #include "matrix/matrix.h"
 #include "matrix/solve.h"
 #include "optimize_xor/xoropt.h"
-#include "parallel/dag_executor.h"
 #include "parallel/task_group.h"
 #include "plan_store/plan_store.h"
 #include "search_coeff/cert_store.h"

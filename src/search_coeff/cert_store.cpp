@@ -47,8 +47,7 @@ SealedDir::Accept CertStore::reprove(const Geometry* expect_geometry,
     if (require != nullptr) {
       if (record.exact_class_limit < require->exact_class_limit ||
           record.stratified_classes < require->stratified_classes ||
-          record.plan_budget < require->plan_budget ||
-          (require->optimize_xor && !record.optimize_xor)) {
+          record.plan_budget < require->plan_budget) {
         return fail("recorded proof weaker than required");
       }
     }
@@ -60,7 +59,6 @@ SealedDir::Accept CertStore::reprove(const Geometry* expect_geometry,
     reproof.exact_class_limit = record.exact_class_limit;
     reproof.stratified_classes = record.stratified_classes;
     reproof.plan_budget = record.plan_budget;
-    reproof.optimize_xor = record.optimize_xor;
     // Characterization mode is observationally identical for perfect
     // tuples and required to reproduce best-effort records; the exact
     // equality check below pins the recorded deficiency counts either

@@ -143,7 +143,6 @@ void profile_max(ClassProfile& into, const ClassProfile& p) {
   into.work = std::max(into.work, p.work);
   into.critical_path = std::max(into.critical_path, p.critical_path);
   into.max_width = std::max(into.max_width, p.max_width);
-  into.optimized_ops = std::max(into.optimized_ops, p.optimized_ops);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,8 +175,7 @@ void append_profile(std::string& out, const char* key,
   append_u64(out, "cost", p.cost);
   append_u64(out, "work", p.work);
   append_u64(out, "critical_path", p.critical_path);
-  append_u64(out, "max_width", p.max_width);
-  append_u64(out, "optimized_ops", p.optimized_ops, false);
+  append_u64(out, "max_width", p.max_width, false);
   out += '}';
   if (comma) out += ',';
 }
@@ -391,8 +389,7 @@ bool read_profile(const JsonValue& obj, std::string_view key,
   return read_u64(*v, "cost", &out->cost, why) &&
          read_u64(*v, "work", &out->work, why) &&
          read_u64(*v, "critical_path", &out->critical_path, why) &&
-         read_u64(*v, "max_width", &out->max_width, why) &&
-         read_u64(*v, "optimized_ops", &out->optimized_ops, why);
+         read_u64(*v, "max_width", &out->max_width, why);
 }
 
 }  // namespace
@@ -419,7 +416,6 @@ std::string Certificate::to_json() const {
   append_u64(out, "exact_class_limit", exact_class_limit);
   append_u64(out, "stratified_classes", stratified_classes);
   append_u64(out, "plan_budget", plan_budget);
-  append_bool(out, "optimize_xor", optimize_xor);
   append_bool(out, "exact", exact);
   out += "\"universe\":{";
   append_u64(out, "maximal", maximal);
@@ -517,7 +513,6 @@ bool parse_certificate(std::string_view json, Certificate* out,
       !read_u64(root, "stratified_classes", &cert.stratified_classes,
                 why) ||
       !read_u64(root, "plan_budget", &cert.plan_budget, why) ||
-      !read_bool(root, "optimize_xor", &cert.optimize_xor, why) ||
       !read_bool(root, "exact", &cert.exact, why)) {
     return false;
   }
@@ -744,7 +739,6 @@ CertifyResult certify_tuple(const Geometry& g,
     Codec::Options copts;
     copts.threads = 1;
     copts.cache_capacity = 16;
-    copts.optimize_xor = opts.optimize_xor;
     Codec codec(code, copts);
 
     enum class Proof { kProven, kUndecodable, kFailed };
@@ -770,11 +764,6 @@ CertifyResult certify_tuple(const Geometry& g,
       profile->work = p.work;
       profile->critical_path = p.critical_path;
       profile->max_width = p.max_width;
-      std::uint64_t optimized = 0;
-      for (const PlanSchedule& sched : plan->schedules()) {
-        optimized += sched.schedule.cost();
-      }
-      profile->optimized_ops = optimized == 0 ? p.cost : optimized;
       return Proof::kProven;
     };
 
@@ -811,7 +800,6 @@ CertifyResult certify_tuple(const Geometry& g,
   cert.exact_class_limit = opts.exact_class_limit;
   cert.stratified_classes = opts.stratified_classes;
   cert.plan_budget = opts.plan_budget;
-  cert.optimize_xor = opts.optimize_xor;
   cert.exact = eplan.exact;
   cert.maximal = eplan.census.maximal;
   cert.canonical = eplan.census.canonical;

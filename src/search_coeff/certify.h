@@ -7,14 +7,13 @@
 // a deterministic subset of classes — all of them when the universe
 // fits the plan budget — is additionally driven through the full
 // static-analysis stack: Codec::plan_for builds the plan,
-// planverify::verify_plan re-proves it symbolically, and the hazard
-// profile (critical path / work / max width, plus the post-xoropt op
-// count when Options::optimize_xor is on) is accumulated per stratum
-// and into the certificate's worst case. The result is a
-// machine-checkable Certificate that records the geometry, the tuple,
-// the closed-form census, every stratum proven and the proof options —
-// enough for a later process to re-run the identical proofs and compare
-// outcomes exactly (cert_store.h's zero-trust load contract).
+// planverify::verify_plan re-proves it symbolically, and the plan's
+// cost and hazard profile (mult_XORs / work / critical path / max width)
+// is accumulated per stratum and into the certificate's worst case. The
+// result is a machine-checkable Certificate that records the geometry,
+// the tuple, the closed-form census, every stratum proven and the proof
+// options — enough for a later process to re-run the identical proofs
+// and compare outcomes exactly (cert_store.h's zero-trust load contract).
 #pragma once
 
 #include <cstdint>
@@ -30,20 +29,19 @@ namespace ppm::coeffsearch {
 
 /// Bumped whenever the on-disk JSON layout, the enumeration model or
 /// the proof semantics change; mismatching records are quarantined and
-/// re-certified rather than trusted.
-inline constexpr std::uint64_t kCertFormatVersion = 1;
+/// re-certified rather than trusted. Format 2 dropped the superoptimizer
+/// proof option and the profiles' post-superoptimizer op count.
+inline constexpr std::uint64_t kCertFormatVersion = 2;
 inline constexpr std::uint64_t kEnumeratorVersion = 1;
 inline constexpr std::uint64_t kCertifierVersion = 1;
 
 /// Worst-case plan profile over a set of proven scenario classes
-/// (per-metric maxima). `optimized_ops` is the post-superoptimizer
-/// schedule cost where schedules attached, the plan cost otherwise.
+/// (per-metric maxima).
 struct ClassProfile {
   std::uint64_t cost = 0;
   std::uint64_t work = 0;
   std::uint64_t critical_path = 0;
   std::uint64_t max_width = 0;
-  std::uint64_t optimized_ops = 0;
 
   bool operator==(const ClassProfile&) const = default;
 };
@@ -75,8 +73,6 @@ struct CertifyOptions {
   /// when the universe fits the budget, else a deterministic stride.
   /// 0 skips plan proofs entirely (pure rank certification).
   std::uint64_t plan_budget = 384;
-  /// Score with the post-superoptimizer op count (Codec::Options).
-  bool optimize_xor = true;
   /// Characterize instead of refute: rank-deficient scenario classes
   /// are *counted* (Certificate::deficient_*) rather than aborting the
   /// sweep, and stride classes that are undecodable are skipped by the
@@ -106,7 +102,6 @@ struct Certificate {
   std::uint64_t exact_class_limit = 0;
   std::uint64_t stratified_classes = 0;
   std::uint64_t plan_budget = 0;
-  bool optimize_xor = false;
 
   bool exact = true;
   std::uint64_t maximal = 0;    ///< closed-form universe size

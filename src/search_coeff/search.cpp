@@ -175,13 +175,13 @@ unsigned resolve_threads(unsigned requested) {
 }
 
 /// Deterministic tie-break order: worst critical path, then worst
-/// work, then optimized op count, then the tuple itself.
+/// work, then the tuple itself.
 bool candidate_less(const CertifiedCandidate& a,
                     const CertifiedCandidate& b) {
   return std::tie(a.cert.worst_case.critical_path, a.cert.worst_case.work,
-                  a.cert.worst_case.optimized_ops, a.tuple) <
+                  a.tuple) <
          std::tie(b.cert.worst_case.critical_path, b.cert.worst_case.work,
-                  b.cert.worst_case.optimized_ops, b.tuple);
+                  b.tuple);
 }
 
 bool dominates(const CertifiedCandidate& a, const CertifiedCandidate& b) {

@@ -19,8 +19,8 @@
 //  4. The certified set is reduced to its Pareto frontier under
 //     (worst-case critical path, worst-case work); `best` is the
 //     lexicographically smallest frontier member by (critical path,
-//     work, optimized ops, tuple), so results are deterministic for a
-//     fixed seed regardless of thread count.
+//     work, tuple), so results are deterministic for a fixed seed
+//     regardless of thread count.
 //
 // certify_first() is the cheap construction-path variant: same stream,
 // same prescreen, but it stops at the first tuple that certifies.

@@ -1,15 +1,10 @@
 // The executors must actually consume the hazard DAG: LPT lane placement
 // of group units (hazard::place_lpt vs. the Algorithm-1 round-robin
-// baseline), the completion-signaling DAG runner (parallel/dag_executor),
-// and the unit-parallel XOR-schedule executor, which must stay
-// byte-identical to the serial executor across every code family and fall
-// back to serial whenever the schedule is not provably unit-safe.
+// baseline), which PpmDecoder records per execution, and the XOR-schedule
+// hazard pass, which must report malformed ops instead of dropping them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -84,224 +79,6 @@ TEST(Placement, LanesNeverExceedUnits) {
   const auto one = hazard::place_round_robin(work, 0);
   EXPECT_EQ(one.lanes, 1u);
   EXPECT_EQ(one.makespan, 9u);
-}
-
-// ---------------------------------------------------------------------------
-// Completion-signaling DAG runner.
-
-TEST(DagExecutor, RunsEveryUnitOnceRespectingEdges) {
-  // Diamond over 6 units plus an isolated pair.
-  const std::vector<std::pair<std::size_t, std::size_t>> edges = {
-      {0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}};
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    std::mutex mu;
-    std::vector<std::size_t> finish_order;
-    const auto report = run_unit_dag(
-        6, edges, threads,
-        [&](std::size_t u) {
-          const std::scoped_lock lock(mu);
-          finish_order.push_back(u);
-        });
-    ASSERT_TRUE(report.ran) << "threads=" << threads;
-    EXPECT_GE(report.workers_used, 1u);
-    ASSERT_EQ(finish_order.size(), 6u);
-    std::vector<std::size_t> position(6);
-    for (std::size_t i = 0; i < finish_order.size(); ++i) {
-      position[finish_order[i]] = i;
-    }
-    for (const auto& [from, to] : edges) {
-      EXPECT_LT(position[from], position[to])
-          << from << "->" << to << " with threads=" << threads;
-    }
-  }
-}
-
-TEST(DagExecutor, RefusesCyclesWithoutRunningAnything) {
-  const std::vector<std::pair<std::size_t, std::size_t>> edges = {
-      {0, 1}, {1, 2}, {2, 0}};
-  std::atomic<std::size_t> runs{0};
-  for (const unsigned threads : {1u, 4u}) {
-    const auto report =
-        run_unit_dag(3, edges, threads, [&](std::size_t) { ++runs; });
-    EXPECT_FALSE(report.ran);
-  }
-  EXPECT_EQ(runs.load(), 0u);
-}
-
-TEST(DagExecutor, SerialOrderIsPriorityAwareTopological) {
-  // Two independent chains; heavier units must be dispatched first among
-  // the simultaneously ready.
-  const std::vector<std::pair<std::size_t, std::size_t>> edges = {{0, 1},
-                                                                  {2, 3}};
-  const std::vector<std::size_t> weight = {1, 1, 9, 9};
-  std::vector<std::size_t> order;
-  const auto report = run_unit_dag(
-      4, edges, 1, [&](std::size_t u) { order.push_back(u); }, weight);
-  ASSERT_TRUE(report.ran);
-  EXPECT_EQ(report.workers_used, 1u);
-  EXPECT_EQ(order, (std::vector<std::size_t>{2, 3, 0, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Unit-parallel XOR execution.
-
-std::vector<std::vector<std::uint8_t>> run_schedule(
-    const XorSchedule& schedule, std::size_t rows, std::size_t cols,
-    std::size_t bytes, std::uint64_t seed, unsigned threads,
-    ParallelXorReport* report = nullptr) {
-  Rng rng(seed);
-  std::vector<std::vector<std::uint8_t>> sources(cols);
-  std::vector<std::uint8_t*> src(cols);
-  for (std::size_t c = 0; c < cols; ++c) {
-    sources[c] = test::random_bytes(rng, bytes);
-    src[c] = sources[c].data();
-  }
-  std::vector<std::vector<std::uint8_t>> targets(
-      rows, std::vector<std::uint8_t>(bytes, 0xEE));
-  std::vector<std::uint8_t*> tgt(rows);
-  for (std::size_t r = 0; r < rows; ++r) tgt[r] = targets[r].data();
-  if (threads == 0) {
-    execute_xor_schedule(schedule, src.data(), tgt.data(), bytes);
-  } else {
-    const auto rep = execute_xor_schedule_parallel(
-        schedule, rows, src.data(), tgt.data(), bytes, threads);
-    if (report != nullptr) *report = rep;
-  }
-  return targets;
-}
-
-TEST(XorScheduleParallel, ByteIdenticalOnRandomBinaryMatrices) {
-  Rng rng(800);
-  std::size_t engaged = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t rows = 2 + rng.bounded(12);
-    const std::size_t cols = 1 + rng.bounded(24);
-    Matrix g(gf::field(8), rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        g(r, c) = rng.bounded(100) < 45 ? 1 : 0;
-      }
-    }
-    const auto schedule = plan_xor_schedule(g);
-    ASSERT_TRUE(schedule.has_value());
-    const std::uint64_t seed = 801 + trial;
-    const auto serial = run_schedule(*schedule, rows, cols, 96, seed, 0);
-    ParallelXorReport report;
-    const auto parallel =
-        run_schedule(*schedule, rows, cols, 96, seed, 4, &report);
-    EXPECT_EQ(serial, parallel) << "trial " << trial;
-    if (report.parallel) ++engaged;
-  }
-  // The planner's schedules have real width; the parallel path must not
-  // be falling back across the board.
-  EXPECT_GT(engaged, 0u);
-}
-
-TEST(XorScheduleParallel, ByteIdenticalAcrossEveryFamily) {
-  // Every binary sub-system the real planner produces, for all 9 code
-  // families, run both ways and compared bytewise.
-  std::vector<std::unique_ptr<ErasureCode>> codes;
-  codes.push_back(std::make_unique<SDCode>(8, 16, 2, 2, 8));
-  codes.push_back(std::make_unique<PMDSCode>(8, 16, 2, 2, 8));
-  codes.push_back(std::make_unique<LRCCode>(12, 3, 2, 8));
-  codes.push_back(std::make_unique<XorbasLRCCode>(10, 2, 4, 8));
-  codes.push_back(std::make_unique<RSCode>(10, 4, 8));
-  codes.push_back(std::make_unique<CRSCode>(10, 4, 8));
-  codes.push_back(std::make_unique<EvenOddCode>(7));
-  codes.push_back(std::make_unique<RDPCode>(7));
-  codes.push_back(std::make_unique<StarCode>(7));
-  std::size_t schedules = 0;
-  for (const auto& code : codes) {
-    ScenarioGenerator gen(9);
-    const auto sc = gen.disk_failures(*code, 2).scenario;
-    Codec codec(*code);
-    const auto plan = codec.plan_for(sc);
-    ASSERT_NE(plan, nullptr) << code->name();
-    const auto check = [&](const SubPlan& sub) {
-      const Matrix& applied =
-          sub.sequence() == Sequence::kMatrixFirst ? sub.finv() : sub.s();
-      const auto schedule = plan_xor_schedule(applied);
-      if (!schedule.has_value()) return;  // non-binary system
-      ++schedules;
-      const std::uint64_t seed = 900 + schedules;
-      const auto serial = run_schedule(*schedule, applied.rows(),
-                                       applied.cols(), 128, seed, 0);
-      const auto parallel = run_schedule(*schedule, applied.rows(),
-                                         applied.cols(), 128, seed, 4);
-      EXPECT_EQ(serial, parallel) << code->name();
-    };
-    for (const SubPlan& sub : plan->groups()) check(sub);
-    if (plan->rest().has_value()) check(*plan->rest());
-  }
-  EXPECT_GT(schedules, 0u);
-}
-
-TEST(XorScheduleParallel, EngagesOnWideIndependentSchedule) {
-  // 4 targets, no from_output edges: full width.
-  const Matrix g(gf::field(8), 4, 4,
-                 {1, 1, 0, 0,
-                  0, 1, 1, 0,
-                  0, 0, 1, 1,
-                  1, 0, 0, 1});
-  const auto schedule = plan_xor_schedule(g);
-  ASSERT_TRUE(schedule.has_value());
-  ParallelXorReport report;
-  const auto parallel = run_schedule(*schedule, 4, 4, 64, 77, 4, &report);
-  const auto serial = run_schedule(*schedule, 4, 4, 64, 77, 0);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_TRUE(report.parallel);
-  EXPECT_GE(report.workers, 2u);
-  EXPECT_EQ(report.units, 4u);
-  EXPECT_GE(report.max_width, 2u);
-}
-
-TEST(XorScheduleParallel, FallsBackOnInterleavedFromOutputUse) {
-  // Target 1 copies target 0 before target 0 is finalized: legal serially
-  // (verify_xor_schedule's read-before-final rule), but not safe to
-  // unit-parallelize — the executor must detect it and run serially,
-  // reproducing the serial (partial-value) semantics exactly.
-  XorSchedule schedule;
-  schedule.ops.push_back({false, 0, 0, true});   // t0 = s0
-  schedule.ops.push_back({true, 0, 1, true});    // t1 = t0 (partial!)
-  schedule.ops.push_back({false, 1, 0, false});  // t0 ^= s1
-  ParallelXorReport report;
-  const auto parallel = run_schedule(schedule, 2, 2, 64, 88, 4, &report);
-  const auto serial = run_schedule(schedule, 2, 2, 64, 88, 0);
-  EXPECT_FALSE(report.parallel);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(XorScheduleParallel, FallsBackWhenNoWidth) {
-  // A pure chain: t0 -> t1 -> t2; width 1, nothing to overlap.
-  XorSchedule schedule;
-  schedule.ops.push_back({false, 0, 0, true});
-  schedule.ops.push_back({true, 0, 1, true});
-  schedule.ops.push_back({false, 1, 1, false});
-  schedule.ops.push_back({true, 1, 2, true});
-  schedule.ops.push_back({false, 0, 2, false});
-  ParallelXorReport report;
-  const auto parallel = run_schedule(schedule, 3, 2, 64, 99, 4, &report);
-  const auto serial = run_schedule(schedule, 3, 2, 64, 99, 0);
-  EXPECT_FALSE(report.parallel);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(XorScheduleParallel, FallsBackOnOutOfRangeTarget) {
-  XorSchedule schedule;
-  schedule.ops.push_back({false, 0, 0, true});
-  schedule.ops.push_back({false, 0, 1, true});
-  schedule.ops.push_back({false, 1, 5, true});  // target 5 of a 2-row system
-  std::vector<std::vector<std::uint8_t>> targets(
-      6, std::vector<std::uint8_t>(32, 0));
-  std::vector<std::uint8_t*> tgt(6);
-  for (std::size_t r = 0; r < 6; ++r) tgt[r] = targets[r].data();
-  std::vector<std::uint8_t> s0(32, 0xAB);
-  std::vector<std::uint8_t> s1(32, 0xCD);
-  std::vector<std::uint8_t*> src = {s0.data(), s1.data()};
-  const auto report = execute_xor_schedule_parallel(schedule, 2, src.data(),
-                                                    tgt.data(), 32, 4);
-  EXPECT_FALSE(report.parallel);  // malformed: serial semantics preserved
-  EXPECT_EQ(targets[5], s1);
 }
 
 // ---------------------------------------------------------------------------

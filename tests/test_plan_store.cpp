@@ -310,6 +310,31 @@ TEST(PlanStore, FutureFormatVersionIsQuarantined) {
   EXPECT_EQ(store.load(code, sc, &out, &why),
             planstore::PlanStore::LoadResult::kRejected);
   EXPECT_FALSE(fs::exists(record));
+
+  // A v3 record — today's payload plus v3's trailing schedule section
+  // (an empty one: a zero u32 count), sealed as version 3 — fails the
+  // version check, and quarantines on the codec's read-through, which
+  // then rebuilds the plan and writes a current record in its place.
+  const std::string v3 =
+      seal("PPMPLAN", 3, payload + std::string(4, '\0'));
+  test::write_file(record, v3);
+  EXPECT_EQ(store.load(code, sc, &out, &why),
+            planstore::PlanStore::LoadResult::kRejected);
+  EXPECT_NE(why.find("version"), std::string::npos) << why;
+  test::write_file(record, v3);
+  Codec reader(code);
+  reader.attach_store(dir.path().string());
+  const auto rebuilt = reader.plan_for(sc);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(reader.metrics().planstore_loads.value(), 0u);
+  EXPECT_EQ(reader.metrics().planstore_load_failures.value(), 1u);
+  EXPECT_EQ(reader.metrics().planstore_quarantined.value(), 1u);
+  EXPECT_EQ(reader.metrics().plans_analyzed.value(), 1u);  // built afresh
+  EXPECT_EQ(reader.metrics().planstore_stores.value(), 1u);
+  expect_plan_decodes(code, sc, *rebuilt);
+  EXPECT_EQ(store.load(code, sc, &out, &why),
+            planstore::PlanStore::LoadResult::kLoaded)
+      << why;
 }
 
 TEST(PlanStore, PutReportsFailureWhenTmpPathUnwritable) {

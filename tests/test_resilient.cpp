@@ -72,27 +72,6 @@ TEST(Backoff, HonorsMultiplier) {
   EXPECT_EQ(backoff_delay(options, 2).count(), 900);
 }
 
-TEST(Backoff, ClampsToRemainingDeadline) {
-  // Satellite: the deadline-aware overload never schedules a sleep past
-  // the remaining budget, and a spent budget sleeps zero.
-  ResilienceOptions options;
-  options.initial_backoff = std::chrono::nanoseconds{1000};
-  options.backoff_multiplier = 2.0;
-  options.max_backoff = std::chrono::nanoseconds{1000000};
-  // Plenty of budget: identical to the pure schedule.
-  EXPECT_EQ(
-      backoff_delay(options, 3, std::chrono::nanoseconds{1000000}).count(),
-      8000);
-  // Budget smaller than the schedule: clamped exactly to it.
-  EXPECT_EQ(backoff_delay(options, 3, std::chrono::nanoseconds{500}).count(),
-            500);
-  // Spent or overdrawn budget: no sleep at all.
-  EXPECT_EQ(backoff_delay(options, 0, std::chrono::nanoseconds{0}).count(),
-            0);
-  EXPECT_EQ(backoff_delay(options, 0, std::chrono::nanoseconds{-50}).count(),
-            0);
-}
-
 TEST(Backoff, JitterDrawsStayInsideTheConfiguredBand) {
   // Satellite: each jittered backoff is uniform in
   // [(1 - jitter) * base, base] — never above the exponential schedule

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 
+#include "codes/coeff_search.h"
 #include "codes/sd_code.h"
 #include "common/metrics.h"
 #include "search_coeff/cert_store.h"
@@ -234,7 +235,8 @@ TEST(SearchCoeff, ParserRejectsVersionSkew) {
   const CertifyResult res = certify_tuple(kPaper, kPaperTuple);
   ASSERT_TRUE(res.certified);
   std::string json = res.cert.to_json();
-  const std::string from = "\"format\":1";
+  const std::string from =
+      "\"format\":" + std::to_string(kCertFormatVersion);
   json.replace(json.find(from), from.size(), "\"format\":999");
   Certificate parsed;
   std::string why;
@@ -356,6 +358,47 @@ TEST_F(CertStoreTest, CrcResealedTamperIsQuarantinedAndRecertified) {
   EXPECT_EQ(gc.removed_quarantined, 1u);
   EXPECT_FALSE(
       std::filesystem::exists(path.string() + ".quarantined"));
+}
+
+TEST_F(CertStoreTest, FormatOneRecordIsQuarantinedAndRecertified) {
+  // A format-1 certificate, sealed as version 1, is rejected at the seal
+  // before any field is read (format 1 also carried two fields format 2
+  // dropped). The construction path quarantines it, re-certifies the
+  // geometry and publishes a current record in its place.
+  const auto store = std::make_shared<CertStore>(dir_);
+  const CertifyResult res = certify_tuple(kPaper, kPaperTuple);
+  ASSERT_TRUE(res.certified);
+  std::string json = res.cert.to_json();
+  const std::string format =
+      "\"format\":" + std::to_string(kCertFormatVersion);
+  json.replace(json.find(format), format.size(), "\"format\":1");
+  const std::filesystem::path path =
+      dir_ / CertStore::record_filename(kPaper);
+  test::write_file(path, seal("PPMCERT", 1, json));
+
+  search_metrics().reset();
+  clear_sd_coefficient_cache();
+  const std::shared_ptr<CertStore> saved = default_cert_store();
+  set_default_cert_store(store);
+  const std::vector<gf::Element> tuple =
+      sd_coefficients(kPaper.n, kPaper.r, kPaper.m, kPaper.s, kPaper.w);
+  set_default_cert_store(saved);
+  clear_sd_coefficient_cache();
+  EXPECT_EQ(search_metrics().cert_load_failures.value(), 1u);
+  EXPECT_EQ(search_metrics().cert_quarantined.value(), 1u);
+  EXPECT_EQ(search_metrics().cert_stores.value(), 1u);
+  EXPECT_TRUE(std::filesystem::exists(path.string() + ".quarantined"));
+
+  Certificate out;
+  CertifyOptions require;
+  require.exact_class_limit = 0;
+  require.stratified_classes = 0;
+  require.plan_budget = 0;
+  std::string why;
+  EXPECT_EQ(store->load(kPaper, require, &out, &why),
+            CertStore::LoadResult::kLoaded)
+      << why;
+  EXPECT_EQ(out.tuple, tuple);
 }
 
 TEST_F(CertStoreTest, BlockedQuarantineRemovesTheRecordUncounted) {

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <numeric>
 #include <vector>
 
@@ -28,14 +27,11 @@
 #include "decode/xor_schedule.h"
 #include "matrix/solve.h"
 #include "optimize_xor/xoropt.h"
-#include "plan_store/plan_store.h"
 #include "test_util.h"
 #include "verify_plan/plan_verify.h"
 
 namespace ppm {
 namespace {
-
-namespace fs = std::filesystem;
 
 bool has_kind(const std::vector<planverify::Violation>& violations,
               planverify::ViolationKind kind) {
@@ -218,54 +214,6 @@ TEST(XorOpt, ProveCatchesFragmentedTargetSpan) {
                        planverify::ViolationKind::kXorTargetSpanFragmented));
 }
 
-TEST(XorOpt, OptimizedScheduleRunsUnitParallelByteIdentically) {
-  // Temp-bearing schedules must also execute correctly through the
-  // unit-parallel DAG executor: each temporary is its own unit over a
-  // scratch region, and consumers wait on its completion signal.
-  const CRSCode code(8, 2, 8);
-  std::vector<std::size_t> faulty = code.strip_blocks(2);
-  std::sort(faulty.begin(), faulty.end());
-  const Matrix& h = code.parity_check();
-  const Matrix f_cols = h.select_columns(faulty);
-  const auto sel = independent_rows(f_cols);
-  ASSERT_TRUE(sel.has_value());
-  std::vector<std::size_t> survivors;
-  for (std::size_t c = 0; c < code.total_blocks(); ++c) {
-    if (!std::binary_search(faulty.begin(), faulty.end(), c)) {
-      survivors.push_back(c);
-    }
-  }
-  const Matrix g = *f_cols.select_rows(*sel).inverse() *
-                   h.select_columns(survivors).select_rows(*sel);
-  const auto base = plan_xor_schedule(g);
-  ASSERT_TRUE(base.has_value());
-  const auto result = xoropt::optimize(g, *base);
-  ASSERT_GT(result.schedule.temps, 0u);  // the CSE win is the point here
-  ASSERT_TRUE(xoropt::prove(g, result.schedule).empty());
-
-  const std::size_t bytes = 256;
-  Rng rng(67);
-  std::vector<std::vector<std::uint8_t>> sources(g.cols());
-  std::vector<std::uint8_t*> src_ptrs(g.cols());
-  for (std::size_t c = 0; c < g.cols(); ++c) {
-    sources[c] = test::random_bytes(rng, bytes);
-    src_ptrs[c] = sources[c].data();
-  }
-  std::vector<std::vector<std::uint8_t>> targets(
-      g.rows(), std::vector<std::uint8_t>(bytes, 0xEE));
-  std::vector<std::uint8_t*> tgt_ptrs(g.rows());
-  for (std::size_t r = 0; r < g.rows(); ++r) tgt_ptrs[r] = targets[r].data();
-  const ParallelXorReport report = execute_xor_schedule_parallel(
-      result.schedule, g.rows(), src_ptrs.data(), tgt_ptrs.data(), bytes, 4);
-  EXPECT_EQ(targets, naive_apply(g, sources, bytes));
-  // Whether the DAG engaged or the provable-safety screen fell back to
-  // serial, the bytes above already had to be exact; just pin that the
-  // report is coherent.
-  if (report.parallel) {
-    EXPECT_GE(report.workers, 2u);
-  }
-}
-
 TEST(XorOpt, TamperedRewritesAreRejectedAndBaseSurvives) {
   const Matrix g(gf::field(8), 3, 5,
                  {1, 1, 1, 0, 0,
@@ -357,131 +305,6 @@ TEST(XorOptSweep, EvenOdd) {
 }
 TEST(XorOptSweep, RDP) { expect_optimized_subplans_clean(RDPCode(7)); }
 TEST(XorOptSweep, Star) { expect_optimized_subplans_clean(StarCode(7)); }
-
-// ---------------------------------------------------------------------------
-// Codec integration: the optimize_xor knob attaches proven schedules to
-// the plan and surfaces the xoropt metric group.
-
-FailureScenario disk_failure(const ErasureCode& code, std::size_t disk) {
-  std::vector<std::size_t> faulty;
-  for (std::size_t row = 0; row < code.rows(); ++row) {
-    faulty.push_back(code.block_id(row, disk));
-  }
-  return FailureScenario(faulty);
-}
-
-TEST(XorOptCodec, KnobAttachesProvenSchedulesAndCountsMetrics) {
-  const CRSCode code(6, 3, 8);
-  Codec::Options options;
-  options.optimize_xor = true;
-  Codec codec(code, options);
-  const FailureScenario sc = disk_failure(code, 1);
-  const auto plan = codec.plan_for(sc);
-  ASSERT_NE(plan, nullptr);
-  ASSERT_FALSE(plan->schedules().empty());
-  for (const PlanSchedule& ps : plan->schedules()) {
-    ASSERT_LE(ps.sub, plan->groups().size());
-    const SubPlan& sub = ps.sub < plan->groups().size()
-                             ? plan->groups()[ps.sub]
-                             : *plan->rest();
-    const Matrix& applied =
-        sub.sequence() == Sequence::kMatrixFirst ? sub.finv() : sub.s();
-    EXPECT_TRUE(xoropt::prove(applied, ps.schedule).empty());
-    expect_bytes_exact(applied, ps.schedule, 1700 + ps.sub);
-  }
-  const xoropt::Stats& stats = plan->xoropt_stats();
-  EXPECT_GT(stats.passes, 0u);
-  EXPECT_EQ(stats.rewrites_accepted + stats.rewrites_rejected, stats.passes);
-  EXPECT_EQ(codec.metrics().xoropt_passes.value(), stats.passes);
-  EXPECT_EQ(codec.metrics().xoropt_rewrites_accepted.value(),
-            stats.rewrites_accepted);
-  EXPECT_EQ(codec.metrics().xoropt_rewrites_rejected.value(),
-            stats.rewrites_rejected);
-  EXPECT_EQ(codec.metrics().xoropt_ops_saved.value(), stats.ops_saved);
-  EXPECT_NE(codec.metrics_json().find("\"xoropt\":{"), std::string::npos);
-}
-
-TEST(XorOptCodec, KnobOffLeavesPlansScheduleFree) {
-  const CRSCode code(6, 3, 8);
-  Codec codec(code);
-  const auto plan = codec.plan_for(disk_failure(code, 1));
-  ASSERT_NE(plan, nullptr);
-  EXPECT_TRUE(plan->schedules().empty());
-  EXPECT_EQ(codec.metrics().xoropt_passes.value(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Plan store: optimized schedules persist through the record format,
-// reload only after re-proving, and a record whose schedule no longer
-// proves is quarantined — zero trust extends to the optimizer's output.
-
-TEST(XorOptPlanStore, SchedulesRoundTripThroughDisk) {
-  const CRSCode code(6, 3, 8);
-  const FailureScenario sc = disk_failure(code, 0);
-  test::TempDir dir("roundtrip");
-
-  Codec::Options options;
-  options.optimize_xor = true;
-  std::size_t want_schedules = 0;
-  {
-    Codec writer(code, options);
-    writer.attach_store(dir.path().string());
-    const auto plan = writer.plan_for(sc);
-    ASSERT_NE(plan, nullptr);
-    ASSERT_FALSE(plan->schedules().empty());
-    want_schedules = plan->schedules().size();
-    ASSERT_EQ(writer.metrics().planstore_stores.value(), 1u);
-  }
-
-  // A fresh codec — optimizer knob OFF — warms the optimized schedules
-  // straight from disk: the store's re-proof, not the optimizer, is what
-  // readmits them.
-  Codec reader(code);
-  reader.attach_store(dir.path().string());
-  const auto loaded = reader.plan_for(sc);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(reader.metrics().planstore_loads.value(), 1u);
-  ASSERT_EQ(loaded->schedules().size(), want_schedules);
-  for (const PlanSchedule& ps : loaded->schedules()) {
-    const SubPlan& sub = ps.sub < loaded->groups().size()
-                             ? loaded->groups()[ps.sub]
-                             : *loaded->rest();
-    const Matrix& applied =
-        sub.sequence() == Sequence::kMatrixFirst ? sub.finv() : sub.s();
-    EXPECT_TRUE(xoropt::prove(applied, ps.schedule).empty());
-  }
-}
-
-TEST(XorOptPlanStore, TamperedScheduleIsQuarantinedOnLoad) {
-  const CRSCode code(6, 3, 8);
-  const FailureScenario sc = disk_failure(code, 0);
-  test::TempDir dir("tamper");
-
-  Codec::Options options;
-  options.optimize_xor = true;
-  Codec writer(code, options);
-  writer.attach_store(dir.path().string());
-  ASSERT_NE(writer.plan_for(sc), nullptr);
-
-  const fs::path record =
-      dir.path() / planstore::PlanStore::record_filename(code, sc);
-  // The schedules section closes the payload; the final op's source field
-  // sits 16 bytes from the end. Flip its low byte and re-seal the CRC so
-  // the record still PARSES — only the schedule re-proof can catch it.
-  ASSERT_TRUE(fs::exists(record));
-  test::reseal(record, planstore::kFormatVersion, [](std::string& payload) {
-    ASSERT_GT(payload.size(), 17u);
-    payload[payload.size() - 16] ^= 1;
-  });
-
-  planstore::PlanStore store(dir.path());
-  std::shared_ptr<const CachedPlan> out;
-  std::string why;
-  EXPECT_EQ(store.load(code, sc, &out, &why),
-            planstore::PlanStore::LoadResult::kRejected);
-  EXPECT_NE(why.find("schedule re-proof"), std::string::npos) << why;
-  EXPECT_TRUE(fs::exists(record.string() + ".quarantined"));
-}
 
 }  // namespace
 }  // namespace ppm

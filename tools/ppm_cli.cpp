@@ -492,16 +492,13 @@ int cmd_verify(const ErasureCode& code, const Args& args) {
 // units (analyze_schedule), and the region-split slice geometry the
 // BlockParallelDecoder would use for --block/--threads (analyze_slices).
 // With --optimize 1, the proof-carrying superoptimizer (ppm::xoropt) runs
-// over every binary sub-system: the codec builds plans with the
-// optimize_xor knob, the CLI re-proves each optimized schedule
-// independently, and the sweep JSON gains naive/greedy/optimized op
-// totals plus accept/reject counts. Profile JSON on stdout; violations
-// JSON on stdout with exit 1.
+// over every binary sub-system's greedy schedule, the CLI re-proves each
+// optimized schedule independently, and the sweep JSON gains
+// naive/greedy/optimized op totals plus accept/reject counts. Profile
+// JSON on stdout; violations JSON on stdout with exit 1.
 int cmd_analyze(const ErasureCode& code, const Args& args) {
   const bool optimize = args.get("optimize", 0) != 0;
-  Codec::Options codec_options;
-  codec_options.optimize_xor = optimize;
-  Codec codec(code, codec_options);
+  Codec codec(code);
   const std::size_t block = args.get("block", 65536);
   const unsigned threads = static_cast<unsigned>(args.get("threads", 4));
   const unsigned sym = code.field().symbol_bytes();
@@ -1662,7 +1659,6 @@ coeffsearch::CertifyOptions search_certify_options(const Args& args) {
   opts.exact_class_limit = args.get("exact-limit", opts.exact_class_limit);
   opts.stratified_classes = args.get("classes", opts.stratified_classes);
   opts.plan_budget = args.get("plan-budget", opts.plan_budget);
-  opts.optimize_xor = args.get("optimize", 1) != 0;
   opts.allow_deficient = args.get("allow-deficient", 0) != 0;
   opts.threads = static_cast<unsigned>(args.get("threads", 0));
   return opts;
@@ -1761,8 +1757,6 @@ int cmd_search(const Args& args) {
       out += "],\"worst_case\":{\"critical_path\":" +
              std::to_string(res.best.cert.worst_case.critical_path) +
              ",\"work\":" + std::to_string(res.best.cert.worst_case.work) +
-             ",\"optimized_ops\":" +
-             std::to_string(res.best.cert.worst_case.optimized_ops) +
              "},\"pareto\":" + std::to_string(res.pareto.size());
     }
     out += '}';
