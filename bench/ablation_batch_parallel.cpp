@@ -1,19 +1,20 @@
 // Ablation — where to spend the threads: the paper's related work contrasts
 // block-level (inter-stripe) parallelism [36]-[38] with PPM's matrix-level
 // (intra-stripe) parallelism. This bench rebuilds a batch of stripes three
-// ways and reports modeled 4-lane times:
-//   A. traditional decode per stripe, stripes in parallel (block-level);
-//   B. PPM with T=4 intra-stripe threads, stripes serial (matrix-level);
-//   C. serial PPM per stripe, stripes in parallel (block-level parallelism
-//      + PPM's cost reduction).
-// Expected shape: B wins for small batches (only matrix-level parallelism
-// can fill the cores), C wins at scale (stripe-level parallelism has no
-// serial H_rest tail), and C stays below A everywhere because the C4 < C1
-// cost reduction rides along for free.
+// ways on 4 real threads and reports the median measured wall time:
+//   A. the whole-matrix plan per stripe, stripes in parallel on a pool
+//      (block-level);
+//   B. PPM's Algorithm 1 with T=4 lanes per stripe, stripes serial
+//      (matrix-level);
+//   C. Codec::decode_batch: the partitioned plan, stripes in parallel and
+//      a small batch's stripes cut into slices (block-level parallelism +
+//      PPM's cost reduction).
+// The last line is the codec's metrics JSON.
 #include <cstdio>
 #include <memory>
 
 #include "codec/codec.h"
+#include "common/timer.h"
 
 #include "bench_common.h"
 
@@ -30,13 +31,23 @@ int main() {
   const auto g = gen.sd_worst_case(code, 2, 2, 1);
   const std::size_t block = 32 * 1024;
 
-  CodecMetrics metrics;  // shared sink across all PPM decodes below
+  ThreadPool pool(lanes);
+  const auto whole = CachedPlan::whole_matrix(code.parity_check(), g.scenario,
+                                              SequencePolicy::kNormal);
+  if (!whole) return 1;
+  const auto one_slice =
+      plan_slices(block, code.field().symbol_bytes(), /*threads=*/1);
+  PpmOptions popts;
+  popts.threads = lanes;
+  const PpmDecoder alg1(code, popts);
+  Codec codec(code, Codec::Options{.threads = lanes});
 
-  std::printf("%8s  %12s %12s %12s  (modeled %u lanes)\n", "stripes",
-              "A:trad-par", "B:ppm-intra", "C:ppm-par", lanes);
+  std::printf("%8s  %12s %12s %12s  (measured, %u threads)\n", "stripes",
+              "A:whole-par", "B:alg1-intra", "C:codec", lanes);
   for (const std::size_t batch : {1u, 2u, 4u, 8u, 16u}) {
     std::vector<std::unique_ptr<Stripe>> stripes;
     std::vector<std::uint8_t* const*> ptrs;
+    std::vector<std::vector<std::uint8_t>> snaps;
     const TraditionalDecoder trad(code);
     for (std::size_t i = 0; i < batch; ++i) {
       stripes.push_back(std::make_unique<Stripe>(code, block));
@@ -44,60 +55,49 @@ int main() {
       stripes.back()->fill_data(rng);
       if (!trad.encode(stripes.back()->block_ptrs(), block)) return 1;
       ptrs.push_back(stripes.back()->block_ptrs());
+      snaps.push_back(stripes.back()->snapshot());
     }
-
-    // T=1 runs the group tasks inline, so the per-task times feeding the
-    // lane model are clean serial measurements (no thread thrash on a
-    // single-core host).
-    PpmOptions popts;
-    popts.threads = 1;
-    popts.metrics = &metrics;
-    const PpmDecoder ppm_serial(code, popts);
-
-    // Measure per-stripe times once (warm), then model the three layouts.
-    std::vector<double> trad_times;
-    std::vector<double> ppm_serial_times;
-    std::vector<double> ppm_par_model;
-    for (std::size_t i = 0; i < batch; ++i) {
-      stripes[i]->erase(g.scenario);
-      auto tr = trad.decode(g.scenario, ptrs[i], block);
-      if (!tr) return 1;
-      stripes[i]->erase(g.scenario);
-      tr = trad.decode(g.scenario, ptrs[i], block);  // warm rerun
-      trad_times.push_back(tr->seconds);
-
-      stripes[i]->erase(g.scenario);
-      auto pr = ppm_serial.decode(g.scenario, ptrs[i], block);
-      if (!pr) return 1;
-      stripes[i]->erase(g.scenario);
-      pr = ppm_serial.decode(g.scenario, ptrs[i], block);  // warm rerun
-      ppm_serial_times.push_back(pr->seconds);
-      ppm_par_model.push_back(pr->modeled_seconds(lanes));
-    }
-
-    // A: trad per stripe, stripes over `lanes` workers (LPT ~ equal times).
-    const auto stripes_over_lanes = [&](const std::vector<double>& times) {
-      std::vector<double> lane(lanes, 0.0);
-      for (std::size_t i = 0; i < times.size(); ++i) {
-        lane[i % lanes] += times[i];
-      }
-      double mx = 0;
-      for (const double t : lane) mx = std::max(mx, t);
-      return mx;
+    const auto erase_all = [&] {
+      for (const auto& st : stripes) st->erase(g.scenario);
     };
-    const double a = stripes_over_lanes(trad_times);
-    // B: each stripe internally uses all lanes; stripes run back-to-back.
-    double b = 0;
-    for (const double t : ppm_par_model) b += t;
-    // C: serial PPM per stripe, stripes spread over the lanes.
-    const double c = stripes_over_lanes(ppm_serial_times);
-
+    const auto verify_all = [&] {
+      for (std::size_t i = 0; i < batch; ++i) {
+        if (!stripes[i]->equals(snaps[i])) std::exit(4);
+      }
+    };
+    // One untimed, verified run of a layout (it also caches the codec's
+    // plan), then the timed repetitions; returns the median seconds.
+    const auto time_layout = [&](const auto& layout) {
+      erase_all();
+      layout();
+      verify_all();
+      std::vector<double> times;
+      for (std::size_t rep = 0; rep < bench::reps(); ++rep) {
+        erase_all();
+        const Timer t;
+        layout();
+        times.push_back(t.seconds());
+      }
+      verify_all();
+      return bench::median(std::move(times));
+    };
+    const double a = time_layout(
+        [&] { whole->execute_sliced(ptrs, block, one_slice, &pool); });
+    const double b = time_layout([&] {
+      for (std::uint8_t* const* p : ptrs) {
+        if (!alg1.decode(g.scenario, p, block)) std::exit(2);
+      }
+    });
+    const double c = time_layout([&] {
+      if (!codec.decode_batch(g.scenario, ptrs, block)) std::exit(3);
+    });
     std::printf("%8zu  %10.3fms %10.3fms %10.3fms\n", batch, a * 1e3,
                 b * 1e3, c * 1e3);
   }
-  std::printf("\n(small batches: B wins — only matrix-level parallelism "
-              "fills the cores; large batches: C wins — no serial H_rest "
-              "tail — and beats A by the C4 < C1 cost reduction)\n");
-  std::printf("\nmetrics: %s\n", metrics.to_json().c_str());
+  std::printf("\n(A runs C1 ops per stripe, one stripe per task; B runs "
+              "min(C3,C4) ops with a serial H_rest per stripe; C runs "
+              "min(C3,C4) ops and cuts a batch smaller than the pool into "
+              "slices)\n");
+  std::printf("\nmetrics: %s\n", codec.metrics_json().c_str());
   return 0;
 }

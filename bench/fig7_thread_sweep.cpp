@@ -1,12 +1,14 @@
-// Fig. 7 — measured PPM improvement for different thread counts T. Paper
-// setting: stripe = 32 MB, r = 16, z = 1, panels over (m, s), n in
-// {6, 11, 16, 21}, T = 1..4 on a 4-core CPU.
+// Fig. 7 — PPM improvement for different thread counts T. Paper setting:
+// stripe = 32 MB, r = 16, z = 1, panels over (m, s), n in {6, 11, 16, 21},
+// T = 1..4 on a 4-core CPU.
 //
-// Single-core substitution: the "modeled" column schedules the measured
-// per-task times on T virtual lanes (the multi-core machine the paper ran
-// on); the "wall" column is the literal single-core wall-clock improvement,
-// which isolates PPM's cost-reduction benefit (its T=1 row is the paper's
-// "PPM without parallelism" observation from §III-B).
+// Every column is measured wall-clock time on T real threads (see
+// bench_common.h): alg1@T is the paper's Algorithm 1, whole@T and ppm@T
+// the whole-matrix and partitioned plans on T slices of the tile-major
+// executor. Improvements are over the serial whole-matrix decoder; its
+// T=1 rows are the paper's "PPM without parallelism" observation
+// (§III-B). The last line is one JSON object holding every point's
+// medians.
 #include <cstdio>
 #include <string>
 
@@ -21,17 +23,17 @@ int main() {
   const std::size_t z = 1;
   const std::size_t ns[] = {6, 11, 16, 21};
 
-  double two_thread_sum = 0;
-  double two_thread_lo = 1e9;
-  double two_thread_hi = -1e9;
-  std::size_t two_thread_count = 0;
-  std::string sched_json;  // per-point placed/roundrobin/critical-path
+  bench::Summary alg1_t2;
+  bench::Summary whole_t2;
+  bench::Summary ppm_t2;
+  std::string points;
 
   for (const std::size_t m : {1u, 2u, 3u}) {
     for (const std::size_t s : {1u, 2u, 3u}) {
       std::printf("--- m = %zu, s = %zu ---\n", m, s);
-      std::printf("%4s %3s  %12s %12s  %6s\n", "n", "T", "modeled-impr",
-                  "wall-impr", "p");
+      std::printf("%4s %3s %4s  %9s %9s %9s  %9s %9s %9s\n", "n", "T", "p",
+                  "plan-whl", "plan-ppm", "trad-ms", "alg1@T", "whole@T",
+                  "ppm@T");
       for (const std::size_t n : ns) {
         if (n <= m || s > z * (n - m)) continue;
         const unsigned w = SDCode::recommended_width(n, r);
@@ -41,27 +43,22 @@ int main() {
         for (unsigned t = 1; t <= 4; ++t) {
           const auto pt = compare_sd(code, m, s, z, t,
                                      0xF167000 + n * 100 + m * 10 + s, block);
-          std::printf("%4zu %3u  %11.2f%% %11.2f%%  %6zu\n", n, t,
-                      100 * pt.modeled_improvement(),
-                      100 * pt.measured_improvement(), pt.p);
-          if (t >= 2) {
-            char buf[256];
-            std::snprintf(
-                buf, sizeof(buf),
-                "%s{\"m\":%zu,\"s\":%zu,\"n\":%zu,\"t\":%u,\"p\":%zu,"
-                "\"placed_s\":%.6e,\"roundrobin_s\":%.6e,"
-                "\"critical_path_s\":%.6e}",
-                sched_json.empty() ? "" : ",", m, s, n, t, pt.p,
-                pt.placed_makespan_seconds, pt.roundrobin_makespan_seconds,
-                pt.critical_path_seconds);
-            sched_json += buf;
-          }
+          std::printf("%4zu %3u %4zu  %9.3f %9.3f %9.3f  %8.2f%% %8.2f%% "
+                      "%8.2f%%\n",
+                      n, t, pt.p, pt.plan_whole_seconds * 1e3,
+                      pt.plan_ppm_seconds * 1e3, pt.trad_seconds * 1e3,
+                      100 * pt.alg1_improvement(),
+                      100 * pt.whole_improvement(),
+                      100 * pt.ppm_improvement());
+          char buf[96];
+          std::snprintf(buf, sizeof(buf),
+                        "%s{\"m\":%zu,\"s\":%zu,\"n\":%zu,\"t\":%u,",
+                        points.empty() ? "" : ",", m, s, n, t);
+          points += buf + pt.json() + "}";
           if (t == 2) {
-            const double impr = pt.modeled_improvement();
-            two_thread_sum += impr;
-            two_thread_lo = std::min(two_thread_lo, impr);
-            two_thread_hi = std::max(two_thread_hi, impr);
-            ++two_thread_count;
+            alg1_t2.add(pt.alg1_improvement());
+            whole_t2.add(pt.whole_improvement());
+            ppm_t2.add(pt.ppm_improvement());
           }
         }
       }
@@ -69,14 +66,14 @@ int main() {
     }
   }
 
-  std::printf("T=2 modeled improvement: avg=%.2f%% range=[%.2f%%, %.2f%%]\n",
-              100 * two_thread_sum / two_thread_count, 100 * two_thread_lo,
-              100 * two_thread_hi);
+  std::printf("T=2 improvement over trad, alg1@2:  %s\n", alg1_t2.str().c_str());
+  std::printf("T=2 improvement over trad, whole@2: %s\n",
+              whole_t2.str().c_str());
+  std::printf("T=2 improvement over trad, ppm@2:   %s\n", ppm_t2.str().c_str());
   std::printf("(paper, two threads: avg=46.29%%, range=[8.45%%, 178.38%%])\n");
-  // Machine-readable schedule comparison: the executed LPT makespan vs.
-  // the Algorithm-1 round-robin counterfactual vs. the analyzer's
-  // critical-path floor, per (m, s, n, T >= 2) point.
-  std::printf("{\"bench\":\"fig7_schedule\",\"points\":[%s]}\n",
-              sched_json.c_str());
+  std::printf("{\"bench\":\"fig7_thread_sweep\",\"stripe_mib\":%zu,"
+              "\"reps\":%zu,\"isa\":\"%s\",\"cores\":%u,\"points\":[%s]}\n",
+              bench::stripe_mib(), bench::reps(), isa_name(detect_isa()),
+              hardware_threads(), points.c_str());
   return 0;
 }

@@ -3,9 +3,11 @@
 // plus the RS(m+1) reference speeds at w = 8/16/32. Paper setting:
 // stripe = 32 MB, r = 16, T = 4, z = 1.
 //
-// Speeds are decode throughput in MB/s of stripe data; opt-SD uses the
-// modeled T-lane time (see bench_common.h). The field-width switch at
-// n*r > 255 produces the paper's "jagged lines".
+// Speeds are decode throughput in MB/s of stripe data, from measured
+// wall-clock region time (bench_common.h): SD is the serial whole-matrix
+// decoder, alg1 the paper's Algorithm 1 on 4 lanes and ppm the
+// partitioned plan on 4 slices of the tile-major executor. The
+// field-width switch at n*r > 255 produces the paper's "jagged lines".
 #include <cstdio>
 
 #include "bench_common.h"
@@ -18,17 +20,15 @@ int main() {
   const std::size_t z = 1;
   const unsigned t = 4;
 
-  double max_impr = 0;
-  double sum_impr = 0;
-  double min_impr = 1e9;
-  std::size_t count = 0;
+  bench::Summary alg1_impr;
+  bench::Summary whole_impr;
+  bench::Summary ppm_impr;
 
   for (const std::size_t m : {1u, 2u, 3u}) {
     std::printf("--- m = %zu (speeds in MB/s) ---\n", m);
     std::printf("%4s %2s", "n", "w");
     for (const std::size_t s : {1u, 2u, 3u}) {
-      std::printf("  %8s%zu %8s%zu %7s%zu", "SD,s=", s, "opt,s=", s, "impr,s=",
-                  s);
+      std::printf("  %6s%zu %6s%zu %6s%zu", "SD,s=", s, "alg1,", s, "ppm,", s);
     }
     std::printf("\n");
     for (std::size_t n = 6; n <= 24; n += 2) {
@@ -41,14 +41,13 @@ int main() {
         const auto pt = bench::compare_sd(
             code, m, s, z, t, 0xF168000 + n * 100 + m * 10 + s, block);
         const std::size_t bytes = block * n * r;
-        const double impr = pt.modeled_improvement();
-        std::printf("  %9.0f %9.0f %7.0f%%",
+        std::printf("  %7.0f %7.0f %7.0f",
                     bench::mb_per_s(bytes, pt.trad_seconds),
-                    bench::mb_per_s(bytes, pt.ppm_model_seconds), 100 * impr);
-        max_impr = std::max(max_impr, impr);
-        min_impr = std::min(min_impr, impr);
-        sum_impr += impr;
-        ++count;
+                    bench::mb_per_s(bytes, pt.alg1_seconds),
+                    bench::mb_per_s(bytes, pt.ppm_seconds));
+        alg1_impr.add(pt.alg1_improvement());
+        whole_impr.add(pt.whole_improvement());
+        ppm_impr.add(pt.ppm_improvement());
       }
       std::printf("\n");
     }
@@ -80,7 +79,7 @@ int main() {
           const auto res = trad.decode(g.scenario, stripe.block_ptrs(), block,
                                        SequencePolicy::kMatrixFirst);
           if (!res) return 1;
-          times.push_back(res->seconds);
+          times.push_back(res->seconds - res->plan_seconds);
         }
         std::printf(" %10.0f",
                     bench::mb_per_s(block * n, bench::median(times)));
@@ -89,8 +88,10 @@ int main() {
     }
   }
 
-  std::printf("\nopt-SD improvement over SD: avg=%.2f%% range=[%.2f%%, %.2f%%]\n",
-              100 * sum_impr / count, 100 * min_impr, 100 * max_impr);
-  std::printf("(paper: avg=61.09%%, range=[8.22%%, 210.81%%])\n");
+  std::printf("\nimprovement over SD, alg1@4:  %s\n", alg1_impr.str().c_str());
+  std::printf("improvement over SD, whole@4: %s\n", whole_impr.str().c_str());
+  std::printf("improvement over SD, ppm@4:   %s\n", ppm_impr.str().c_str());
+  std::printf("(paper, opt-SD over SD: avg=61.09%%, range=[8.22%%, "
+              "210.81%%])\n");
   return 0;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "codec/codec.h"
-
 namespace ppm::hazard {
 
 namespace {

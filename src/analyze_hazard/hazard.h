@@ -24,10 +24,10 @@
 //    (`unordered_from_output_use`).
 //
 // Three lowerings cover every parallel region the decoders run:
-// PpmDecoder's independent-group fan-out (graph_of_subplans), the
-// region-split slices of Codec and BlockParallelDecoder
-// (graph_of_slices), and the per-target units of an XOR schedule
-// (graph_of_schedule).
+// PpmDecoder's Algorithm-1 group lanes (graph_of_subplans), the region
+// slices of CachedPlan::execute_sliced — the one fan-out under Codec's
+// decode, encode and batch decode (graph_of_slices) — and the per-target
+// units of an XOR schedule (graph_of_schedule).
 //
 // From the same DAG the analysis derives the observability numbers that
 // bound achievable speedup: total work, critical-path length (both in
@@ -41,16 +41,12 @@
 #include <string>
 #include <vector>
 
-#include "decode/block_parallel_decoder.h"
 #include "decode/plan.h"
 #include "decode/xor_schedule.h"
 #include "matrix/matrix.h"
 #include "verify_plan/violation.h"
 
 namespace ppm {
-
-class CachedPlan;
-
 namespace hazard {
 
 /// End-of-block sentinel: an access interval reaching kRangeEnd covers
@@ -116,8 +112,10 @@ Analysis analyze(const HazardGraph& graph);
 /// A lane assignment of mutually independent execution units: which lane
 /// each unit runs on, each lane's dispatch order and total work, and the
 /// resulting makespan (all work in the same mult_XOR units the DAG
-/// carries). Produced by the placers below; consumed by PpmDecoder's
-/// group fan-out and reported by `ppm_cli analyze`.
+/// carries). Produced by the placers below. Only PpmDecoder's Algorithm-1
+/// group lanes run an LPT placement; Codec slices every stripe instead
+/// (CachedPlan::execute_sliced). `ppm_cli analyze` reports both placers'
+/// makespans.
 struct Placement {
   unsigned lanes = 0;
   std::vector<unsigned> lane_of;  ///< unit index -> lane index

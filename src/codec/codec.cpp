@@ -6,35 +6,10 @@
 #include "analyze_hazard/hazard.h"
 #include "common/cpu.h"
 #include "common/timer.h"
-#include "decode/block_parallel_decoder.h"
-#include "decode/log_table.h"
-#include "decode/partition.h"
-#include "parallel/task_group.h"
 #include "plan_store/plan_store.h"
 #include "verify_plan/plan_verify.h"
 
 namespace ppm {
-
-CachedPlan CachedPlan::assemble(std::vector<SubPlan> groups,
-                                std::optional<SubPlan> rest) {
-  CachedPlan plan;
-  plan.group_plans_ = std::move(groups);
-  plan.rest_plan_ = std::move(rest);
-  return plan;
-}
-
-std::size_t CachedPlan::cost() const {
-  std::size_t c = 0;
-  for (const SubPlan& p : group_plans_) c += p.cost();
-  if (rest_plan_.has_value()) c += rest_plan_->cost();
-  return c;
-}
-
-void CachedPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
-                         DecodeStats* stats) const {
-  for (const SubPlan& p : group_plans_) p.execute(blocks, block_bytes, stats);
-  if (rest_plan_.has_value()) rest_plan_->execute(blocks, block_bytes, stats);
-}
 
 Codec::Codec(const ErasureCode& code, Options options)
     : code_(&code),
@@ -122,32 +97,9 @@ std::shared_ptr<const CachedPlan> Codec::load_stored(
 
 std::shared_ptr<CachedPlan> Codec::build_plan(
     const FailureScenario& scenario) const {
-  const Matrix& h = code_->parity_check();
-  const LogTable table = LogTable::build(h, scenario.faulty());
-  const Partition part = make_partition(h, table);
-
-  auto plan = std::make_shared<CachedPlan>();
-  plan->group_plans_.reserve(part.p());
-  for (const IndependentGroup& g : part.groups) {
-    auto sub = SubPlan::make(h, g.rows, g.faulty_cols, scenario.faulty(),
-                             Sequence::kMatrixFirst);
-    if (!sub.has_value()) return nullptr;
-    plan->group_plans_.push_back(std::move(*sub));
-  }
-  if (!part.rest_empty()) {
-    // Auto sequence: the cheaper of C3/C4 tails.
-    const auto costs = SubPlan::sequence_costs(h, part.rest_rows,
-                                               part.rest_faulty,
-                                               part.rest_faulty);
-    if (!costs.has_value()) return nullptr;
-    const Sequence seq = costs->second < costs->first
-                             ? Sequence::kMatrixFirst
-                             : Sequence::kNormal;
-    auto rest = SubPlan::make(h, part.rest_rows, part.rest_faulty,
-                              part.rest_faulty, seq);
-    if (!rest.has_value()) return nullptr;
-    plan->rest_plan_ = std::move(*rest);
-  }
+  auto built = CachedPlan::partitioned(code_->parity_check(), scenario);
+  if (!built.has_value()) return nullptr;
+  auto plan = std::make_shared<CachedPlan>(std::move(*built));
   // Every plan carries its hazard/cost profile from birth: consumers
   // (`ppm_cli analyze`, the plan store, schedulers) read profile()
   // instead of re-running the analysis, and the store cross-checks the
@@ -272,61 +224,16 @@ DecodeStats Codec::execute_sliced(
   const std::size_t by_threads =
       (options_.threads + stripes.size() - 1) / stripes.size();
   const std::size_t by_work = plan.cost() * block_bytes / kMinSliceWork;
-  const unsigned sym = code_->field().symbol_bytes();
   const std::vector<SliceRange> slices = plan_slices(
-      block_bytes, sym,
+      block_bytes, code_->field().symbol_bytes(),
       static_cast<unsigned>(
           std::max<std::size_t>(1, std::min(by_threads, by_work))));
-#ifdef PPM_VERIFY_PLANS
-  // Prove the fan-out race-free before any task starts: on every sub-plan
-  // the slices must be symbol-aligned, disjoint and tile the region. Each
-  // task runs the plan serially, so no group-level proof is needed.
-  const auto prove = [&](const SubPlan& sub) {
-    const auto verdict =
-        hazard::analyze_slices(sub, slices, block_bytes, sym);
-    if (!verdict.ok()) {
-      throw std::logic_error("PPM_VERIFY_PLANS: slice fan-out rejected: " +
-                             planverify::to_json(verdict.violations));
-    }
-  };
-  for (const SubPlan& g : plan.groups()) prove(g);
-  if (plan.rest().has_value()) prove(*plan.rest());
-#endif
-  const std::size_t blocks_per_stripe = code_->total_blocks();
-  const auto run = [&](std::size_t task) {
-    std::uint8_t* const* blocks = stripes[task / slices.size()];
-    const SliceRange& slice = slices[task % slices.size()];
-    // The whole plan runs one tile at a time, so the survivor tiles the
-    // groups read are still in L2 when H_rest reads them again: each
-    // stripe byte streams from memory once, not once per sub-plan.
-    std::vector<std::uint8_t*> view(blocks_per_stripe);
-    for (std::size_t off = 0; off < slice.bytes; off += SubPlan::kTileBytes) {
-      for (std::size_t b = 0; b < blocks_per_stripe; ++b) {
-        view[b] = blocks[b] + slice.offset + off;
-      }
-      plan.execute(view.data(),
-                   std::min(SubPlan::kTileBytes, slice.bytes - off));
-    }
-  };
-  const std::size_t tasks = stripes.size() * slices.size();
-  if (tasks <= 1 || options_.threads <= 1) {
-    for (std::size_t i = 0; i < tasks; ++i) run(i);
-  } else {
-    TaskGroup group(worker_pool());
-    for (std::size_t i = 0; i < tasks; ++i) group.add([&run, i] { run(i); });
-    group.wait();
-  }
+  // The pool starts on the first fan-out with more than one task.
+  const bool fan_out =
+      stripes.size() * slices.size() > 1 && options_.threads > 1;
+  const DecodeStats stats = plan.execute_sliced(
+      stripes, block_bytes, slices, fan_out ? &worker_pool() : nullptr);
   if (slices.size() > 1) metrics_.stripes_sliced.add(stripes.size());
-
-  // Slicing splits bytes, not ops: each stripe counts one serial execute,
-  // so the paper's C is never multiplied by the slice count.
-  std::size_t sources = 0;
-  for (const SubPlan& g : plan.groups()) sources += g.source_blocks();
-  if (plan.rest().has_value()) sources += plan.rest()->source_blocks();
-  DecodeStats stats;
-  stats.mult_xors = plan.cost() * stripes.size();
-  stats.bytes_touched = stats.mult_xors * block_bytes;
-  stats.blocks_read = sources * stripes.size();
   return stats;
 }
 

@@ -5,13 +5,14 @@
 // therefore (a) caches decode plans per failure scenario — the matrix
 // bookkeeping (log table, partition, inversions) is paid once and reused
 // across stripes — and (b) runs every decode, encode and batch decode
-// through one stripe×slice fan-out on its worker pool. Each task executes
+// through one stripe×slice fan-out on its worker pool
+// (CachedPlan::execute_sliced, decode/plan.h). Each task executes
 // a stripe's whole cached plan (the O1 groups, then H_rest) on one
 // contiguous byte range of every block, one SubPlan::kTileBytes tile at a
 // time so H_rest finds the tiles the groups read still in L2: region ops
 // are element-wise, so slices and tiles are independent, PPM keeps its
 // min(C3, C4) op count, and its serial H_rest tail is split across the
-// cores like everything else. A
+// cores like everything else. Codec owns only the slice count: a
 // batch of at least `threads` stripes runs one slice per stripe, the
 // classic inter-stripe parallelism of [36]-[38]; a smaller batch, or one
 // stripe, is cut into ⌈threads / stripes⌉ slices per stripe, as long as
@@ -40,7 +41,6 @@
 #include "common/metrics.h"
 #include "common/sharded_lru.h"
 #include "decode/plan.h"
-#include "decode/ppm_decoder.h"
 #include "decode/scenario.h"
 #include "parallel/thread_pool.h"
 
@@ -53,71 +53,6 @@ class PlanStore;
 namespace io {
 class BlockSource;
 }  // namespace io
-
-/// Cost/concurrency profile of a cached plan — the numbers the hazard
-/// analyzer (analyze_hazard/) derives from the plan's dependency DAG.
-/// Computed exactly once, when the plan is built (or re-verified on load
-/// from the persistent store), and carried with the plan so downstream
-/// consumers (`ppm_cli analyze`, schedulers, the store) never recompute
-/// the analysis for a plan that already holds it.
-struct PlanProfile {
-  std::size_t cost = 0;           ///< exact mult_XORs of one execution
-  std::size_t work = 0;           ///< Σ unit work over the hazard DAG
-  std::size_t critical_path = 0;  ///< heaviest dependency chain (mult_XORs)
-  std::size_t max_width = 0;      ///< peak concurrently-runnable units
-  std::vector<std::size_t> level_width;  ///< units per DAG level
-  bool hazard_free = false;       ///< no violation in the parallel fan-out
-
-  /// Brent's-theorem speedup ceiling: work / critical path.
-  double speedup_bound() const {
-    return critical_path == 0 ? 1.0
-                              : static_cast<double>(work) /
-                                    static_cast<double>(critical_path);
-  }
-
-  bool operator==(const PlanProfile&) const = default;
-};
-
-/// A fully planned PPM decode, reusable across stripes with the same
-/// failure scenario. Thread-safe to execute concurrently on distinct
-/// stripes or on disjoint slices of one stripe.
-class CachedPlan {
- public:
-  std::size_t p() const { return group_plans_.size(); }
-  std::size_t cost() const;
-
-  /// The hazard/cost profile computed when this plan was built or
-  /// re-verified on load. Plans assembled via assemble() carry a default
-  /// (all-zero, !hazard_free) profile — nothing is analyzed there.
-  const PlanProfile& profile() const { return profile_; }
-
-  /// Execute on one stripe (or on one slice of it: every block region
-  /// shifted to the same offset): groups, then the rest plan, serially in
-  /// the calling thread. Codec runs many of these concurrently, one per
-  /// stripe×slice task.
-  void execute(std::uint8_t* const* blocks, std::size_t block_bytes,
-               DecodeStats* stats = nullptr) const;
-
-  /// The independent-group sub-plans, in execution order.
-  std::span<const SubPlan> groups() const { return group_plans_; }
-
-  /// The H_rest sub-plan, executed after every group (its survivors may
-  /// therefore include group-recovered blocks).
-  const std::optional<SubPlan>& rest() const { return rest_plan_; }
-
-  /// Assemble a plan from explicit sub-plans, bypassing the planner. For
-  /// verification tooling and tests (verify_plan/ exercises hand-corrupted
-  /// plans); nothing is validated here.
-  static CachedPlan assemble(std::vector<SubPlan> groups,
-                             std::optional<SubPlan> rest);
-
- private:
-  friend class Codec;
-  friend class planstore::PlanStore;  // sets profile_ after re-verification
-  std::vector<SubPlan> group_plans_;
-  std::optional<SubPlan> rest_plan_;
-  PlanProfile profile_;
-};
 
 struct BatchResult {
   std::size_t stripes = 0;
@@ -248,10 +183,9 @@ class Codec {
   std::shared_ptr<CachedPlan> build_plan(const FailureScenario& scenario) const;
   ThreadPool& worker_pool();
 
-  /// The one fan-out: run `plan` on every stripe, each cut into the same
-  /// slices, one pool task per stripe×slice (a single task runs in the
-  /// caller). Returns the stats of serial execution, counting each
-  /// stripe once.
+  /// Cut every stripe into the slices this codec's policy picks and run
+  /// `plan` on them through CachedPlan::execute_sliced, on the worker
+  /// pool when there is more than one task.
   DecodeStats execute_sliced(const CachedPlan& plan,
                              std::span<std::uint8_t* const* const> stripes,
                              std::size_t block_bytes);

@@ -2,13 +2,22 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "common/cpu.h"
+#include "decode/log_table.h"
+#include "decode/partition.h"
 #include "matrix/solve.h"
+#include "parallel/task_group.h"
+
+#ifdef PPM_VERIFY_PLANS
+#include "analyze_hazard/hazard.h"
+#include "verify_plan/violation.h"
+#endif
 
 namespace ppm {
 
@@ -52,6 +61,25 @@ std::optional<Prepared> prepare(const Matrix& h,
   Matrix s_used = sub.select_columns(survivors).select_rows(*rowsel);
   return Prepared{std::move(survivors), std::move(h_rows), std::move(*finv),
                   std::move(s_used)};
+}
+
+// The one sequence choice of every plan builder: plan `unknowns` from
+// `rows` with the sequence `policy` names. kAuto takes matrix-first only
+// when it is strictly cheaper, so a tie keeps the normal sequence.
+std::optional<SubPlan> plan_system(const Matrix& h,
+                                   std::span<const std::size_t> rows,
+                                   std::span<const std::size_t> unknowns,
+                                   std::span<const std::size_t> excluded,
+                                   SequencePolicy policy) {
+  Sequence seq = policy == SequencePolicy::kMatrixFirst
+                     ? Sequence::kMatrixFirst
+                     : Sequence::kNormal;
+  if (policy == SequencePolicy::kAuto) {
+    const auto costs = SubPlan::sequence_costs(h, rows, unknowns, excluded);
+    if (!costs.has_value()) return std::nullopt;
+    if (costs->second < costs->first) seq = Sequence::kMatrixFirst;
+  }
+  return SubPlan::make(h, rows, unknowns, excluded, seq);
 }
 
 }  // namespace
@@ -224,6 +252,152 @@ void SubPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
     stats->bytes_touched += local.bytes_touched;
     stats->blocks_read += source_blocks_;
   }
+}
+
+std::vector<SliceRange> plan_slices(std::size_t block_bytes,
+                                    unsigned symbol_bytes, unsigned threads) {
+  std::vector<SliceRange> slices;
+  const std::size_t symbols = block_bytes / symbol_bytes;
+  const std::size_t t =
+      std::max<std::size_t>(1, std::min<std::size_t>(threads, symbols));
+  const std::size_t per = symbols / t;
+  const std::size_t extra = symbols % t;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < t; ++i) {
+    const std::size_t len = (per + (i < extra ? 1 : 0)) * symbol_bytes;
+    if (len == 0) continue;  // fewer symbols than slices: drop empty tails
+    slices.push_back(SliceRange{offset, len});
+    offset += len;
+  }
+  return slices;
+}
+
+std::optional<CachedPlan> CachedPlan::partitioned(
+    const Matrix& h, const FailureScenario& scenario, SequencePolicy rest) {
+  // Step 2 of Algorithm 1: log table + partition.
+  const LogTable table = LogTable::build(h, scenario.faulty());
+  const Partition part = make_partition(h, table);
+
+  // Step 3: one matrix-first plan per independent sub-matrix; unknowns of
+  // other sub-systems are never read.
+  std::vector<SubPlan> groups;
+  groups.reserve(part.p());
+  for (const IndependentGroup& g : part.groups) {
+    auto sub = plan_system(h, g.rows, g.faulty_cols, scenario.faulty(),
+                           SequencePolicy::kMatrixFirst);
+    if (!sub.has_value()) return std::nullopt;
+    groups.push_back(std::move(*sub));
+  }
+
+  // Step 4: the remaining sub-matrix, group-recovered blocks counted as
+  // survivors.
+  std::optional<SubPlan> rest_plan;
+  if (!part.rest_empty()) {
+    rest_plan = plan_system(h, part.rest_rows, part.rest_faulty,
+                            part.rest_faulty, rest);
+    if (!rest_plan.has_value()) return std::nullopt;
+  }
+  return assemble(std::move(groups), std::move(rest_plan));
+}
+
+std::optional<CachedPlan> CachedPlan::whole_matrix(
+    const Matrix& h, const FailureScenario& scenario, SequencePolicy policy) {
+  std::vector<std::size_t> all_rows(h.rows());
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  auto whole = plan_system(h, all_rows, scenario.faulty(), scenario.faulty(),
+                           policy);
+  if (!whole.has_value()) return std::nullopt;
+  return assemble({}, std::move(*whole));
+}
+
+CachedPlan CachedPlan::assemble(std::vector<SubPlan> groups,
+                                std::optional<SubPlan> rest) {
+  CachedPlan plan;
+  plan.group_plans_ = std::move(groups);
+  plan.rest_plan_ = std::move(rest);
+  const auto widen = [&plan](const SubPlan& sub) {
+    plan.symbol_bytes_ = sub.finv().field().symbol_bytes();
+    for (const auto ids : {sub.unknowns(), sub.survivors()}) {
+      for (const std::size_t b : ids) {
+        plan.blocks_ = std::max(plan.blocks_, b + 1);
+      }
+    }
+  };
+  for (const SubPlan& g : plan.group_plans_) widen(g);
+  if (plan.rest_plan_.has_value()) widen(*plan.rest_plan_);
+  return plan;
+}
+
+std::size_t CachedPlan::cost() const {
+  std::size_t c = 0;
+  for (const SubPlan& p : group_plans_) c += p.cost();
+  if (rest_plan_.has_value()) c += rest_plan_->cost();
+  return c;
+}
+
+void CachedPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
+                         DecodeStats* stats) const {
+  for (const SubPlan& p : group_plans_) p.execute(blocks, block_bytes, stats);
+  if (rest_plan_.has_value()) rest_plan_->execute(blocks, block_bytes, stats);
+}
+
+DecodeStats CachedPlan::execute_sliced(
+    std::span<std::uint8_t* const* const> stripes, std::size_t block_bytes,
+    std::span<const SliceRange> slices, ThreadPool* pool) const {
+  if (stripes.empty()) return {};
+  if (block_bytes % symbol_bytes_ != 0) {
+    throw std::invalid_argument("CachedPlan::execute_sliced: " +
+                                std::to_string(block_bytes) +
+                                "-byte blocks split a symbol");
+  }
+#ifdef PPM_VERIFY_PLANS
+  // Prove the fan-out race-free before any task starts: on every sub-plan
+  // the slices must be symbol-aligned, disjoint and tile the region. Each
+  // task runs the plan serially, so no group-level proof is needed.
+  const auto prove = [&](const SubPlan& sub) {
+    const auto verdict =
+        hazard::analyze_slices(sub, slices, block_bytes, symbol_bytes_);
+    if (!verdict.ok()) {
+      throw std::logic_error("PPM_VERIFY_PLANS: slice fan-out rejected: " +
+                             planverify::to_json(verdict.violations));
+    }
+  };
+  for (const SubPlan& g : groups()) prove(g);
+  if (rest().has_value()) prove(*rest());
+#endif
+  const auto run = [&](std::size_t task) {
+    std::uint8_t* const* blocks = stripes[task / slices.size()];
+    const SliceRange& slice = slices[task % slices.size()];
+    // The whole plan runs one tile at a time, so the survivor tiles the
+    // groups read are still in L2 when H_rest reads them again: each
+    // stripe byte streams from memory once, not once per sub-plan.
+    std::vector<std::uint8_t*> view(blocks_);
+    for (std::size_t off = 0; off < slice.bytes; off += SubPlan::kTileBytes) {
+      for (std::size_t b = 0; b < blocks_; ++b) {
+        view[b] = blocks[b] + slice.offset + off;
+      }
+      execute(view.data(), std::min(SubPlan::kTileBytes, slice.bytes - off));
+    }
+  };
+  const std::size_t tasks = stripes.size() * slices.size();
+  if (tasks <= 1 || pool == nullptr) {
+    for (std::size_t i = 0; i < tasks; ++i) run(i);
+  } else {
+    TaskGroup group(*pool);
+    for (std::size_t i = 0; i < tasks; ++i) group.add([&run, i] { run(i); });
+    group.wait();
+  }
+
+  // Slicing splits bytes, not ops: each stripe counts one serial execute,
+  // so the paper's C is never multiplied by the slice count.
+  std::size_t sources = 0;
+  for (const SubPlan& g : groups()) sources += g.source_blocks();
+  if (rest().has_value()) sources += rest()->source_blocks();
+  DecodeStats stats;
+  stats.mult_xors = cost() * stripes.size();
+  stats.bytes_touched = stats.mult_xors * block_bytes;
+  stats.blocks_read = sources * stripes.size();
+  return stats;
 }
 
 }  // namespace ppm

@@ -1,4 +1,4 @@
-// Matrix-decode planning and execution for one (sub-)system.
+// Matrix-decode planning and execution.
 //
 // Planning turns a set of parity-check rows plus a set of unknown blocks
 // into the small matrices of §II-B/§III-B; execution then applies those
@@ -12,6 +12,12 @@
 //
 // Costs are exact mult_XOR counts and are what the cost model and the
 // decoders' Auto policies compare.
+//
+// A SubPlan recovers one (sub-)system. A CachedPlan is a whole decode: the
+// partitioned shape of §III (the O1 groups, then H_rest) or the
+// whole-matrix shape of §II-B, built by one of its two constructors. Every
+// decoder runs a CachedPlan, and CachedPlan::execute_sliced is the one
+// stripe×slice fan-out that Codec's decode, encode and batch decode share.
 #pragma once
 
 #include <cstddef>
@@ -20,14 +26,28 @@
 #include <span>
 #include <vector>
 
+#include "decode/scenario.h"
 #include "gf/galois_field.h"
 #include "matrix/matrix.h"
 
 namespace ppm {
 
+class Codec;
+class ThreadPool;
+namespace planstore {
+class PlanStore;
+}  // namespace planstore
+
 enum class Sequence {
   kNormal,       ///< F⁻¹ · (S · BS)
   kMatrixFirst,  ///< (F⁻¹ · S) · BS
+};
+
+/// How a plan builder picks between the two calculation sequences.
+enum class SequencePolicy {
+  kNormal,       ///< always F⁻¹·(S·BS) — what the open-source SD decoder does
+  kMatrixFirst,  ///< always (F⁻¹·S)·BS — the generator-matrix method
+  kAuto,         ///< pick the cheaper by exact mult_XOR count
 };
 
 /// Cumulative region-operation statistics for a decode.
@@ -141,6 +161,116 @@ class SubPlan {
   Terms s_terms_;
   std::size_t cost_ = 0;
   std::size_t source_blocks_ = 0;
+};
+
+/// Cost/concurrency profile of a cached plan — the numbers the hazard
+/// analyzer (analyze_hazard/) derives from the plan's dependency DAG.
+/// Computed exactly once, when Codec builds the plan (or re-verified on
+/// load from the persistent store), and carried with the plan so
+/// downstream consumers (`ppm_cli analyze`, schedulers, the store) never
+/// recompute the analysis for a plan that already holds it.
+struct PlanProfile {
+  std::size_t cost = 0;           ///< exact mult_XORs of one execution
+  std::size_t work = 0;           ///< Σ unit work over the hazard DAG
+  std::size_t critical_path = 0;  ///< heaviest dependency chain (mult_XORs)
+  std::size_t max_width = 0;      ///< peak concurrently-runnable units
+  std::vector<std::size_t> level_width;  ///< units per DAG level
+  bool hazard_free = false;       ///< no violation in the parallel fan-out
+
+  /// Brent's-theorem speedup ceiling: work / critical path.
+  double speedup_bound() const {
+    return critical_path == 0 ? 1.0
+                              : static_cast<double>(work) /
+                                    static_cast<double>(critical_path);
+  }
+
+  bool operator==(const PlanProfile&) const = default;
+};
+
+/// One contiguous byte range of every block region, processed by one
+/// task. Produced by plan_slices(); consumed by CachedPlan::execute_sliced
+/// and by the hazard analyzer (analyze_hazard/), which proves the ranges
+/// disjoint, symbol-aligned and an exact tiling of [0, block_bytes).
+struct SliceRange {
+  std::size_t offset = 0;  ///< first byte of the slice
+  std::size_t bytes = 0;   ///< slice length (multiple of the symbol size)
+};
+
+/// Split [0, block_bytes) into at most `threads` contiguous symbol-aligned
+/// slices of near-equal size. Fewer slices are returned when there are not
+/// enough symbols to go around; zero-length tails are never emitted.
+/// `block_bytes` must be a multiple of `symbol_bytes`.
+std::vector<SliceRange> plan_slices(std::size_t block_bytes,
+                                    unsigned symbol_bytes, unsigned threads);
+
+/// A fully planned decode, reusable across stripes with the same failure
+/// scenario. Thread-safe to execute concurrently on distinct stripes or on
+/// disjoint slices of one stripe.
+class CachedPlan {
+ public:
+  /// The PPM plan (§III): log table, partition, one matrix-first sub-plan
+  /// per independent group, then H_rest — its group-recovered blocks
+  /// counted as survivors — with the sequence `rest` picks (kAuto: the
+  /// cheaper of C3 and C4). std::nullopt when the scenario is undecodable.
+  static std::optional<CachedPlan> partitioned(
+      const Matrix& h, const FailureScenario& scenario,
+      SequencePolicy rest = SequencePolicy::kAuto);
+
+  /// The traditional plan (§II-B): every row of `h` in one sub-plan (the
+  /// rest(); there are no groups) with the sequence `policy` picks.
+  /// std::nullopt when the scenario is undecodable.
+  static std::optional<CachedPlan> whole_matrix(const Matrix& h,
+                                                const FailureScenario& scenario,
+                                                SequencePolicy policy);
+
+  /// Assemble a plan from explicit sub-plans, bypassing the planner. For
+  /// the plan store and for verification tooling and tests (verify_plan/
+  /// exercises hand-corrupted plans); nothing is validated here.
+  static CachedPlan assemble(std::vector<SubPlan> groups,
+                             std::optional<SubPlan> rest);
+
+  std::size_t p() const { return group_plans_.size(); }
+  std::size_t cost() const;
+
+  /// The hazard/cost profile computed when Codec built this plan or the
+  /// store re-verified it on load. Other plans carry a default (all-zero,
+  /// !hazard_free) profile — nothing is analyzed there.
+  const PlanProfile& profile() const { return profile_; }
+
+  /// Execute on one stripe (or on one slice of it: every block region
+  /// shifted to the same offset): groups, then the rest plan, serially in
+  /// the calling thread.
+  void execute(std::uint8_t* const* blocks, std::size_t block_bytes,
+               DecodeStats* stats = nullptr) const;
+
+  /// The one fan-out: run this plan on every stripe, each cut into
+  /// `slices`, one task per stripe×slice. Each task runs the whole plan
+  /// on its slice one SubPlan::kTileBytes tile at a time, so the survivor
+  /// tiles the groups read are still in L2 when H_rest reads them. A
+  /// single task, or a null `pool`, runs in the caller. Returns the stats
+  /// of serial execution, counting each stripe once. Throws
+  /// std::invalid_argument, before any task is queued, when `block_bytes`
+  /// is not a multiple of the field's symbol size.
+  DecodeStats execute_sliced(std::span<std::uint8_t* const* const> stripes,
+                             std::size_t block_bytes,
+                             std::span<const SliceRange> slices,
+                             ThreadPool* pool) const;
+
+  /// The independent-group sub-plans, in execution order.
+  std::span<const SubPlan> groups() const { return group_plans_; }
+
+  /// The H_rest sub-plan, executed after every group (its survivors may
+  /// therefore include group-recovered blocks).
+  const std::optional<SubPlan>& rest() const { return rest_plan_; }
+
+ private:
+  friend class Codec;                 // sets profile_ after analysis
+  friend class planstore::PlanStore;  // sets profile_ after re-verification
+  std::vector<SubPlan> group_plans_;
+  std::optional<SubPlan> rest_plan_;
+  std::size_t blocks_ = 0;     // 1 + the highest block id any sub-plan touches
+  unsigned symbol_bytes_ = 1;  // the sub-plans' field symbol size
+  PlanProfile profile_;
 };
 
 }  // namespace ppm

@@ -1,14 +1,12 @@
 #include "decode/ppm_decoder.h"
 
 #include <algorithm>
-#include <numeric>
 #include <thread>
 
 #include "analyze_hazard/hazard.h"
 #include "common/cpu.h"
 #include "common/timer.h"
-#include "decode/log_table.h"
-#include "decode/partition.h"
+#include "decode/plan.h"
 #include "parallel/task_group.h"
 
 #ifdef PPM_VERIFY_PLANS
@@ -19,125 +17,27 @@
 
 namespace ppm {
 
-double PpmResult::modeled_seconds_lpt(unsigned lanes) const {
-  if (lanes == 0) lanes = threads_used;
-  if (lanes == 0) lanes = 1;
-  std::vector<double> sorted(task_seconds);
-  std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  std::vector<double> lane(lanes, 0.0);
-  for (const double t : sorted) {
-    *std::min_element(lane.begin(), lane.end()) += t;
-  }
-  const double makespan =
-      lane.empty() ? 0.0 : *std::max_element(lane.begin(), lane.end());
-  return plan_seconds + makespan + rest_seconds;
-}
-
-double PpmResult::modeled_seconds_with_overhead(unsigned lanes) const {
-  if (lanes == 0) lanes = threads_used;
-  double overhead = 0;
-  if (task_seconds.size() > 1 && lanes > 1) {
-    // Only spawned threads cost a start/join: the executor never spawns
-    // more lanes than it has tasks to place on them.
-    const auto spawned = std::min<std::size_t>(lanes, task_seconds.size());
-    overhead =
-        static_cast<double>(spawned) * ThreadPool::thread_spawn_seconds();
-  }
-  return modeled_seconds(lanes) + overhead;
-}
-
-double PpmResult::placed_makespan_seconds() const {
-  std::vector<double> lane;
-  for (std::size_t i = 0;
-       i < task_seconds.size() && i < lane_of.size(); ++i) {
-    if (lane_of[i] >= lane.size()) lane.resize(lane_of[i] + 1, 0.0);
-    lane[lane_of[i]] += task_seconds[i];
-  }
-  return lane.empty() ? 0.0 : *std::max_element(lane.begin(), lane.end());
-}
-
-double PpmResult::round_robin_makespan_seconds(unsigned lanes) const {
-  if (lanes == 0) lanes = threads_used;
-  if (lanes == 0) lanes = 1;
-  std::vector<double> lane(lanes, 0.0);
-  for (std::size_t i = 0; i < task_seconds.size(); ++i) {
-    lane[i % lanes] += task_seconds[i];
-  }
-  return task_seconds.empty()
-             ? 0.0
-             : *std::max_element(lane.begin(), lane.end());
-}
-
-double PpmResult::critical_path_seconds() const {
-  return task_seconds.empty()
-             ? 0.0
-             : *std::max_element(task_seconds.begin(), task_seconds.end());
-}
-
-double PpmResult::modeled_seconds(unsigned lanes) const {
-  if (lanes == 0) lanes = threads_used;
-  if (lanes == 0) lanes = 1;
-  // Round-robin schedule, Algorithm 1's baseline assignment (task i on
-  // thread i mod T); the executor itself now places by LPT — see
-  // modeled_seconds_lpt. Makespan = the slowest lane.
-  std::vector<double> lane(lanes, 0.0);
-  for (std::size_t i = 0; i < task_seconds.size(); ++i) {
-    lane[i % lanes] += task_seconds[i];
-  }
-  const double makespan =
-      lane.empty() ? 0.0 : *std::max_element(lane.begin(), lane.end());
-  return plan_seconds + makespan + rest_seconds;
-}
-
 std::optional<PpmResult> PpmDecoder::decode(const FailureScenario& scenario,
                                             std::uint8_t* const* blocks,
                                             std::size_t block_bytes) const {
+  // Refused before planning: a group task that threw on a split symbol
+  // would escape its lane and end the process.
+  if (block_bytes % code_->field().symbol_bytes() != 0) return std::nullopt;
   PpmResult result;
   if (scenario.empty()) return result;
 
+  // Steps 2-4 planning: log table, partition, the groups' matrix-first
+  // plans and H_rest with the sequence rest_policy picks.
   const Timer total;
-  const Matrix& h = code_->parity_check();
-
-  // Step 2: log table + partition.
-  const LogTable table = LogTable::build(h, scenario.faulty());
-  const Partition part = make_partition(h, table);
-  result.p = part.p();
-  result.dependent_blocks = part.rest_faulty.size();
-
-  // Step 3 planning: one matrix-first plan per independent sub-matrix.
-  std::vector<SubPlan> group_plans;
-  group_plans.reserve(part.p());
-  for (const IndependentGroup& g : part.groups) {
-    auto plan = SubPlan::make(h, g.rows, g.faulty_cols, scenario.faulty(),
-                              Sequence::kMatrixFirst);
-    if (!plan.has_value()) return std::nullopt;  // unreachable: F_i checked
-    group_plans.push_back(std::move(*plan));
-  }
-
-  // Step 4 planning: the remaining sub-matrix, recovered blocks counted as
-  // survivors. Sequence per options (Auto = the C3-vs-C4 comparison).
-  std::optional<SubPlan> rest_plan;
-  if (!part.rest_empty()) {
-    Sequence seq = Sequence::kNormal;
-    switch (options_.rest_policy) {
-      case SequencePolicy::kNormal:
-        break;
-      case SequencePolicy::kMatrixFirst:
-        seq = Sequence::kMatrixFirst;
-        break;
-      case SequencePolicy::kAuto: {
-        const auto costs = SubPlan::sequence_costs(
-            h, part.rest_rows, part.rest_faulty, part.rest_faulty);
-        if (!costs.has_value()) return std::nullopt;
-        seq = costs->second < costs->first ? Sequence::kMatrixFirst
-                                           : Sequence::kNormal;
-        break;
-      }
-    }
-    rest_plan = SubPlan::make(h, part.rest_rows, part.rest_faulty,
-                              part.rest_faulty, seq);
-    if (!rest_plan.has_value()) return std::nullopt;  // undecodable
-    result.rest_sequence = seq;
+  const auto plan = CachedPlan::partitioned(code_->parity_check(), scenario,
+                                            options_.rest_policy);
+  if (!plan.has_value()) return std::nullopt;
+  const std::span<const SubPlan> group_plans = plan->groups();
+  const std::optional<SubPlan>& rest_plan = plan->rest();
+  result.p = plan->p();
+  if (rest_plan.has_value()) {
+    result.dependent_blocks = rest_plan->unknowns().size();
+    result.rest_sequence = rest_plan->sequence();
   }
   result.plan_seconds = total.seconds();
 
@@ -188,12 +88,9 @@ std::optional<PpmResult> PpmDecoder::decode(const FailureScenario& scenario,
   // Step 3 execution: decode the independent sub-matrices in parallel,
   // one worker per populated lane.
   const Timer par_phase;
-  result.task_seconds.assign(group_plans.size(), 0.0);
   std::vector<DecodeStats> task_stats(group_plans.size());
   const auto run_task = [&](std::size_t i) {
-    const Timer tt;
     group_plans[i].execute(blocks, block_bytes, &task_stats[i]);
-    result.task_seconds[i] = tt.seconds();
   };
   const auto run_lane = [&](const std::vector<std::size_t>& units) {
     for (const std::size_t i : units) run_task(i);
@@ -232,14 +129,6 @@ std::optional<PpmResult> PpmDecoder::decode(const FailureScenario& scenario,
   }
   result.rest_seconds = rest_phase.seconds();
   result.seconds = total.seconds();
-  if (options_.metrics != nullptr) {
-    options_.metrics->decodes.add();
-    options_.metrics->stripes_decoded.add();
-    options_.metrics->mult_xors.add(result.stats.mult_xors);
-    options_.metrics->bytes_touched.add(result.stats.bytes_touched);
-    options_.metrics->decode_seconds.record_seconds(result.seconds);
-    options_.metrics->plan_seconds.record_seconds(result.plan_seconds);
-  }
   return result;
 }
 

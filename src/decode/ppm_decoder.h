@@ -1,7 +1,10 @@
-// The PPM decoder (paper §III): partition the parity-check matrix via the
-// log table, recover independent faulty blocks on T parallel threads with
-// the matrix-first sequence, then recover the dependent blocks from the
-// remaining sub-matrix with the cost-cheaper sequence.
+// The PPM decoder (paper §III, Algorithm 1): partition the parity-check
+// matrix via the log table, recover independent faulty blocks on T
+// parallel threads with the matrix-first sequence, then recover the
+// dependent blocks from the remaining sub-matrix with the cost-cheaper
+// sequence. It plans with CachedPlan::partitioned (decode/plan.h) and
+// runs the groups on lanes of its own; the figure benches time it as the
+// paper's algorithm, beside Codec's sliced executor.
 #pragma once
 
 #include <cstdint>
@@ -9,7 +12,6 @@
 #include <vector>
 
 #include "codes/erasure_code.h"
-#include "common/metrics.h"
 #include "decode/scenario.h"
 #include "decode/traditional_decoder.h"
 #include "parallel/thread_pool.h"
@@ -31,12 +33,6 @@ struct PpmOptions {
   /// threads per decode — the paper's execution model, whose thread-start
   /// cost is part of what Fig. 9 measures against stripe size.
   ThreadPool* pool = nullptr;
-
-  /// Optional metric sink. When set, each successful decode records its
-  /// wall time, planning time and mult_XOR count (thread-safe; many
-  /// decoders may share one sink). The caller owns the instance and must
-  /// keep it alive for the decoder's lifetime.
-  CodecMetrics* metrics = nullptr;
 };
 
 struct PpmResult {
@@ -57,43 +53,6 @@ struct PpmResult {
   double plan_seconds = 0;      ///< log table + partition + matrix planning
   double parallel_seconds = 0;  ///< wall time of the group phase
   double rest_seconds = 0;      ///< wall time of the H_rest phase
-  std::vector<double> task_seconds;  ///< per-group execution time
-
-  /// Modeled wall time on a machine with `lanes` truly concurrent cores
-  /// (0 → threads_used): planning + the makespan of Algorithm 1's static
-  /// round-robin schedule (task i on lane i mod T) of the measured task
-  /// times + the rest phase. Since the executor moved to LPT placement
-  /// this is the *baseline* model, kept as the comparison point; the
-  /// executed schedule is modeled_seconds_lpt. The lane substitution is
-  /// documented in DESIGN.md §3: per-task work is measured, only the
-  /// physical concurrency is simulated.
-  double modeled_seconds(unsigned lanes = 0) const;
-
-  /// modeled_seconds with longest-processing-time-first assignment — the
-  /// placement the decoder now executes (within 4/3 of optimal; typically
-  /// at or below the round-robin makespan).
-  double modeled_seconds_lpt(unsigned lanes = 0) const;
-
-  /// modeled_seconds plus the calibrated ephemeral-thread start/join cost.
-  /// Only threads actually spawned are charged — min(lanes, tasks) of
-  /// them, and none when there is no parallel phase. This is the knob
-  /// behind the paper's Fig. 7 observation that m = 1 configurations peak
-  /// at T = 2: with little parallel work, extra threads cost more than
-  /// their lanes save.
-  double modeled_seconds_with_overhead(unsigned lanes = 0) const;
-
-  /// Measured makespan of the group phase as executed: the heaviest
-  /// lane's summed task times under `lane_of`. The quantity the ROADMAP's
-  /// success metric compares against critical_path_seconds().
-  double placed_makespan_seconds() const;
-
-  /// Counterfactual group-phase makespan had the same measured tasks run
-  /// under Algorithm 1's i mod T assignment (0 → threads_used lanes).
-  double round_robin_makespan_seconds(unsigned lanes = 0) const;
-
-  /// The analyzer's critical-path bound on the group phase in measured
-  /// time: the single heaviest task. No lane count can go below it.
-  double critical_path_seconds() const;
 };
 
 class PpmDecoder {
@@ -101,8 +60,9 @@ class PpmDecoder {
   explicit PpmDecoder(const ErasureCode& code, PpmOptions options = {})
       : code_(&code), options_(options) {}
 
-  /// Recover the scenario's faulty blocks in place; std::nullopt when the
-  /// scenario is undecodable.
+  /// Recover the scenario's faulty blocks in place. std::nullopt, with no
+  /// block touched, when the scenario is undecodable or `block_bytes` is
+  /// not a multiple of the field's symbol size.
   std::optional<PpmResult> decode(const FailureScenario& scenario,
                                   std::uint8_t* const* blocks,
                                   std::size_t block_bytes) const;

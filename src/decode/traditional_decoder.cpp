@@ -1,8 +1,5 @@
 #include "decode/traditional_decoder.h"
 
-#include <numeric>
-#include <vector>
-
 #include "common/timer.h"
 
 namespace ppm {
@@ -10,39 +7,18 @@ namespace ppm {
 std::optional<TraditionalResult> TraditionalDecoder::decode(
     const FailureScenario& scenario, std::uint8_t* const* blocks,
     std::size_t block_bytes, SequencePolicy policy) const {
+  if (block_bytes % code_->field().symbol_bytes() != 0) return std::nullopt;
   TraditionalResult result;
   if (scenario.empty()) return result;
 
   const Timer total;
-  const Matrix& h = code_->parity_check();
-  std::vector<std::size_t> all_rows(h.rows());
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-
-  Sequence seq = Sequence::kNormal;
-  switch (policy) {
-    case SequencePolicy::kNormal:
-      break;
-    case SequencePolicy::kMatrixFirst:
-      seq = Sequence::kMatrixFirst;
-      break;
-    case SequencePolicy::kAuto: {
-      const auto costs = SubPlan::sequence_costs(h, all_rows,
-                                                 scenario.faulty(),
-                                                 scenario.faulty());
-      if (!costs.has_value()) return std::nullopt;
-      seq = costs->second < costs->first ? Sequence::kMatrixFirst
-                                         : Sequence::kNormal;
-      break;
-    }
-  }
-
-  const auto plan = SubPlan::make(h, all_rows, scenario.faulty(),
-                                  scenario.faulty(), seq);
+  const auto plan =
+      CachedPlan::whole_matrix(code_->parity_check(), scenario, policy);
   if (!plan.has_value()) return std::nullopt;
   result.plan_seconds = total.seconds();
 
   plan->execute(blocks, block_bytes, &result.stats);
-  result.sequence_used = seq;
+  result.sequence_used = plan->rest()->sequence();
   result.seconds = total.seconds();
   return result;
 }

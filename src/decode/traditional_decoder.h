@@ -1,6 +1,7 @@
 // The traditional parity-check decoder (paper §II-B): the serial,
 // whole-matrix baseline that PPM is measured against. It treats all faulty
 // blocks as a unit: F ← faulty columns of H, S ← the rest, BF = F⁻¹·S·BS.
+// A thin caller of CachedPlan::whole_matrix (decode/plan.h), timed.
 #pragma once
 
 #include <cstdint>
@@ -11,13 +12,6 @@
 #include "decode/scenario.h"
 
 namespace ppm {
-
-/// How a decoder picks between the two calculation sequences.
-enum class SequencePolicy {
-  kNormal,       ///< always F⁻¹·(S·BS) — what the open-source SD decoder does
-  kMatrixFirst,  ///< always (F⁻¹·S)·BS — the generator-matrix method
-  kAuto,         ///< pick the cheaper by exact mult_XOR count
-};
 
 struct TraditionalResult {
   DecodeStats stats;
@@ -31,8 +25,9 @@ class TraditionalDecoder {
   explicit TraditionalDecoder(const ErasureCode& code) : code_(&code) {}
 
   /// Recover the scenario's faulty blocks in place. `blocks[id]` addresses
-  /// block id's region of `block_bytes` bytes. Returns std::nullopt when
-  /// the scenario is undecodable (faulty regions are then untouched).
+  /// block id's region of `block_bytes` bytes. Returns std::nullopt, with
+  /// no block touched, when the scenario is undecodable or `block_bytes`
+  /// is not a multiple of the field's symbol size.
   std::optional<TraditionalResult> decode(
       const FailureScenario& scenario, std::uint8_t* const* blocks,
       std::size_t block_bytes, SequencePolicy policy = SequencePolicy::kNormal)

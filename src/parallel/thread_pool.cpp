@@ -1,8 +1,5 @@
 #include "parallel/thread_pool.h"
 
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -69,23 +66,6 @@ void ThreadPool::worker_loop() {
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool(hardware_threads());
   return pool;
-}
-
-double ThreadPool::thread_spawn_seconds() {
-  static const double cost = [] {
-    std::array<double, 7> samples{};
-    for (double& s : samples) {
-      const auto start = std::chrono::steady_clock::now();
-      std::thread t([] {});
-      t.join();
-      s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-    }
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
-  }();
-  return cost;
 }
 
 }  // namespace ppm

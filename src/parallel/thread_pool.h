@@ -1,9 +1,11 @@
 // Fixed-size worker pool.
 //
-// The PPM decoder supports two execution styles: paper-faithful ephemeral
-// threads spawned per decode (the thread-creation overhead the paper
-// measures in §III-C), or a persistent pool passed via PpmOptions for
-// library use where that overhead is amortized away.
+// Every Codec owns one, created on its first fan-out: its decode, encode
+// and batch decode queue one task per stripe×slice on it
+// (CachedPlan::execute_sliced, fed through a TaskGroup). PpmDecoder, the
+// paper's Algorithm 1 kept for the figures, may run its group lanes on a
+// pool passed via PpmOptions instead of the ephemeral threads it spawns by
+// default.
 //
 // Shutdown contract (see docs/CONCURRENCY.md):
 //   * stop() begins shutdown. Every task accepted before stop() is
@@ -59,12 +61,6 @@ class ThreadPool {
 
   /// Process-wide pool sized to the hardware thread count.
   static ThreadPool& shared();
-
-  /// Calibrated cost of spawning + joining one ephemeral std::thread on
-  /// this host (median of several measurements, cached after the first
-  /// call). Feeds the overhead-aware modeled-parallel clock
-  /// (PpmResult::modeled_seconds_with_overhead).
-  static double thread_spawn_seconds();
 
  private:
   void worker_loop();

@@ -8,11 +8,11 @@
 //   ppm::Stripe stripe(code, /*block_bytes=*/64 * 1024);
 //   ppm::Rng rng(1);
 //   stripe.fill_data(rng);
-//   ppm::PpmDecoder ppm_dec(code);
-//   ppm_dec.encode(stripe.block_ptrs(), stripe.block_bytes());
+//   ppm::Codec codec(code);  // plan cache + a worker pool
+//   codec.encode(stripe.block_ptrs(), stripe.block_bytes());
 //   ...
-//   auto result = ppm_dec.decode(scenario, stripe.block_ptrs(),
-//                                stripe.block_bytes());
+//   bool ok = codec.decode(scenario, stripe.block_ptrs(),
+//                          stripe.block_bytes());
 //
 // See README.md for the full walkthrough and DESIGN.md for the
 // architecture.
@@ -42,7 +42,6 @@
 #include "common/sealed_dir.h"
 #include "common/sharded_lru.h"
 #include "common/timer.h"
-#include "decode/block_parallel_decoder.h"
 #include "decode/cost_model.h"
 #include "decode/degraded_read.h"
 #include "decode/log_table.h"
@@ -70,7 +69,6 @@
 #include "serve/async_source.h"
 #include "serve/overlap.h"
 #include "serve/server.h"
-#include "sim/array_sim.h"
 #include "verify_plan/plan_verify.h"
 #include "verify_plan/violation.h"
 #include "parallel/thread_pool.h"

@@ -147,18 +147,11 @@ TEST(PpmPlacement, DecoderRecordsExecutedLanes) {
       dec.decode(g.scenario, stripe.block_ptrs(), stripe.block_bytes());
   ASSERT_TRUE(res.has_value());
   EXPECT_TRUE(stripe.equals(snap));
-  ASSERT_EQ(res->lane_of.size(), res->task_seconds.size());
+  ASSERT_EQ(res->lane_of.size(), res->p);
   EXPECT_EQ(res->threads_used, std::min<unsigned>(4, res->p));
   for (const unsigned lane : res->lane_of) {
     EXPECT_LT(lane, res->threads_used);
   }
-  // The executed makespan is bracketed by the critical path below and the
-  // serial sum above.
-  const double placed = res->placed_makespan_seconds();
-  EXPECT_GE(placed, res->critical_path_seconds());
-  double sum = 0;
-  for (const double t : res->task_seconds) sum += t;
-  EXPECT_LE(placed, sum + 1e-12);
 }
 
 TEST(PpmPlacement, LptModelBeatsRoundRobinOnSkewedGroups) {
@@ -187,31 +180,6 @@ TEST(PpmPlacement, LptModelBeatsRoundRobinOnSkewedGroups) {
   const std::size_t total = std::accumulate(work.begin(), work.end(),
                                             std::size_t{0});
   EXPECT_LE(lpt.makespan, total / 2 + work[0]);
-}
-
-TEST(PpmPlacement, OverheadModelChargesOnlySpawnedThreads) {
-  const SDCode code(8, 8, 2, 2, 8);
-  Stripe stripe(code, 2048);
-  test::fill_and_encode(code, stripe, 124);
-  ScenarioGenerator gen(125);
-  const auto g = gen.sd_worst_case(code, 2, 2, 1);
-  stripe.erase(g.scenario);
-  PpmOptions opts;
-  opts.threads = 4;
-  const PpmDecoder dec(code, opts);
-  const auto res =
-      dec.decode(g.scenario, stripe.block_ptrs(), stripe.block_bytes());
-  ASSERT_TRUE(res.has_value());
-  const std::size_t tasks = res->task_seconds.size();
-  ASSERT_GT(tasks, 1u);
-  // Asking the model for more lanes than tasks must charge only the
-  // threads a real run would spawn: min(lanes, tasks).
-  const double spawn = ThreadPool::thread_spawn_seconds();
-  const unsigned lanes = static_cast<unsigned>(tasks) + 5;
-  EXPECT_NEAR(res->modeled_seconds_with_overhead(lanes),
-              res->modeled_seconds(lanes) +
-                  static_cast<double>(tasks) * spawn,
-              1e-12);
 }
 
 }  // namespace

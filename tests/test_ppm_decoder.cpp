@@ -1,5 +1,5 @@
 // PPM decoder: equivalence with the traditional decoder, parallel phases,
-// sequence policies, thread handling and the modeled-parallel clock.
+// sequence policies, thread handling and refused block sizes.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -30,7 +30,7 @@ TEST(PpmDecoder, Fig3ExampleRecoversAndCostsC4) {
   EXPECT_TRUE(stripe.equals(snap));
   EXPECT_EQ(res->p, 3u);
   EXPECT_EQ(res->stats.mult_xors, 29u);  // C4 from the paper
-  EXPECT_EQ(res->task_seconds.size(), 3u);
+  EXPECT_EQ(res->lane_of.size(), 3u);
 }
 
 TEST(PpmDecoder, AutoRestPolicyRealizesMinC3C4) {
@@ -165,34 +165,6 @@ TEST(PpmDecoder, PmdsDecodesIdentically) {
   EXPECT_EQ(res->p, 7u);  // r - z, same as SD
 }
 
-TEST(PpmDecoder, ModeledSecondsRespectsLaneCount) {
-  const SDCode code(8, 8, 2, 2, 8);
-  Stripe stripe(code, 4096);
-  test::fill_and_encode(code, stripe, 72);
-  ScenarioGenerator gen(73);
-  const auto g = gen.sd_worst_case(code, 2, 2, 1);
-  stripe.erase(g.scenario);
-  PpmOptions opts;
-  opts.threads = 4;
-  const PpmDecoder dec(code, opts);
-  const auto res =
-      dec.decode(g.scenario, stripe.block_ptrs(), stripe.block_bytes());
-  ASSERT_TRUE(res.has_value());
-  ASSERT_EQ(res->task_seconds.size(), 7u);
-  // More lanes -> modeled time can only shrink (monotone makespan).
-  const double t1 = res->modeled_seconds(1);
-  const double t2 = res->modeled_seconds(2);
-  const double t4 = res->modeled_seconds(4);
-  const double t8 = res->modeled_seconds(8);
-  EXPECT_GE(t1, t2);
-  EXPECT_GE(t2, t4);
-  EXPECT_GE(t4, t8);
-  // One lane degenerates to the serial sum.
-  double sum = res->plan_seconds + res->rest_seconds;
-  for (const double t : res->task_seconds) sum += t;
-  EXPECT_NEAR(t1, sum, 1e-9);
-}
-
 TEST(PpmDecoder, StatsIndependentOfThreadCount) {
   const SDCode code(8, 8, 2, 2, 8);
   Stripe stripe(code, 512);
@@ -217,46 +189,29 @@ TEST(PpmDecoder, StatsIndependentOfThreadCount) {
   }
 }
 
-
-TEST(PpmDecoder, OverheadModelChargesThreadSpawn) {
-  const SDCode code(8, 8, 2, 2, 8);
-  Stripe stripe(code, 2048);
-  test::fill_and_encode(code, stripe, 76);
-  ScenarioGenerator gen(77);
+TEST(PpmDecoder, RefusesBlocksThatSplitASymbol) {
+  // 4097 bytes of 2-byte symbols: every lane layout must refuse before
+  // planning, touching no block. A group task that threw instead would
+  // escape its lane and end the process.
+  const SDCode code(6, 4, 2, 2, 16);
+  Stripe stripe(code, 4098);
+  test::fill_and_encode(code, stripe, 79);
+  ScenarioGenerator gen(80);
   const auto g = gen.sd_worst_case(code, 2, 2, 1);
   stripe.erase(g.scenario);
-  PpmOptions opts;
-  opts.threads = 4;
-  const PpmDecoder dec(code, opts);
-  const auto res =
-      dec.decode(g.scenario, stripe.block_ptrs(), stripe.block_bytes());
-  ASSERT_TRUE(res.has_value());
-  ASSERT_GT(res->task_seconds.size(), 1u);
-  // With a parallel phase, the overhead-aware model charges exactly
-  // lanes * spawn cost on top of the pure makespan model.
-  const double spawn = ThreadPool::thread_spawn_seconds();
-  EXPECT_NEAR(res->modeled_seconds_with_overhead(4),
-              res->modeled_seconds(4) + 4 * spawn, 1e-12);
-  // A single lane spawns nothing.
-  EXPECT_DOUBLE_EQ(res->modeled_seconds_with_overhead(1),
-                   res->modeled_seconds(1));
-}
-
-TEST(PpmDecoder, OverheadModelFreeWithoutParallelPhase) {
-  // One faulty block -> one group -> no threads to charge.
-  const SDCode code(4, 4, 1, 1, 8, {1, 2});
-  Stripe stripe(code, 512);
-  test::fill_and_encode(code, stripe, 78);
-  const FailureScenario sc({5});
-  stripe.erase(sc);
-  PpmOptions opts;
-  opts.threads = 4;
-  const PpmDecoder dec(code, opts);
-  const auto res = dec.decode(sc, stripe.block_ptrs(), 512);
-  ASSERT_TRUE(res.has_value());
-  ASSERT_EQ(res->task_seconds.size(), 1u);
-  EXPECT_DOUBLE_EQ(res->modeled_seconds_with_overhead(4),
-                   res->modeled_seconds(4));
+  const auto erased = stripe.snapshot();
+  PpmOptions one;
+  one.threads = 1;
+  PpmOptions four;
+  four.threads = 4;
+  PpmOptions pooled = four;
+  pooled.pool = &ThreadPool::shared();
+  for (const PpmOptions& opts : {one, four, pooled}) {
+    const PpmDecoder dec(code, opts);
+    EXPECT_FALSE(dec.decode(g.scenario, stripe.block_ptrs(), 4097));
+    EXPECT_FALSE(dec.encode(stripe.block_ptrs(), 4097));
+    EXPECT_TRUE(stripe.equals(erased));
+  }
 }
 
 }  // namespace

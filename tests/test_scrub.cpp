@@ -401,11 +401,11 @@ TEST(RepairJournal, GcKeepsIntentsAndANewestQuarantineWindow) {
   const auto intent = journal.begin("b", {1}, {0u});
   ASSERT_TRUE(intent.has_value());
   for (int i = 0; i < 3; ++i) {
-    std::ofstream(dir.path() /
-                  ("rot" + std::to_string(i) + ".scrubj.quarantined"))
-        << "junk";
+    test::write_file(
+        dir.path() / ("rot" + std::to_string(i) + ".scrubj.quarantined"),
+        "junk");
   }
-  std::ofstream(dir.path() / "stale.scrubj.tmp") << "torn";
+  test::write_file(dir.path() / "stale.scrubj.tmp", "torn");
 
   const auto report = journal.gc(/*keep_quarantined=*/1);
   EXPECT_EQ(report.removed_committed, 1u);
@@ -459,9 +459,10 @@ TEST(RepairJournal, StoreFailuresAreCountedNotThrown) {
   TempDir dir("journal_badpath");
   // A *file* where the journal directory should be: every record write
   // fails, none throws, and the failure is visible in the metrics.
-  std::ofstream(dir.path()) << "not a directory";
+  const auto path = dir.path() / "journal";
+  test::write_file(path, "not a directory");
   scrub_metrics().reset();
-  scrub::RepairJournal journal(dir.path());
+  scrub::RepairJournal journal(path);
   EXPECT_FALSE(journal.begin("s", {0}, {0u}).has_value());
   EXPECT_GE(scrub_metrics().journal_store_failures.value(), 1u);
 }

@@ -236,5 +236,22 @@ TEST(SealedDir, GcCollectsOnlySoundRecordsThePredicateTakes) {
   EXPECT_TRUE(fs::exists(tmp.path() / "rotten.rec"));
 }
 
+// The drills above plant files with test::write_file in a test::TempDir;
+// both must fail loudly rather than leave a drill testing nothing.
+TEST(TestUtil, TempDirStartsEmptyAndWriteFileLandsInIt) {
+  const TempDir tmp("util_tempdir");
+  ASSERT_TRUE(std::filesystem::is_directory(tmp.path()));
+  EXPECT_TRUE(std::filesystem::is_empty(tmp.path()));
+  test::write_file(tmp.path() / "f", "bytes");
+  EXPECT_EQ(test::read_file(tmp.path() / "f"), "bytes");
+}
+
+TEST(TestUtil, WriteFileIntoMissingDirectoryThrows) {
+  const TempDir tmp("util_missing");
+  EXPECT_THROW(test::write_file(tmp.path() / "missing" / "f", "bytes"),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(tmp.path() / "missing"));
+}
+
 }  // namespace
 }  // namespace ppm

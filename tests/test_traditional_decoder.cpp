@@ -152,5 +152,23 @@ TEST(TraditionalDecoder, LrcAndRsRoundTrips) {
   }
 }
 
+TEST(TraditionalDecoder, RefusesBlocksThatSplitASymbol) {
+  const SDCode code(6, 4, 2, 2, 16);
+  Stripe stripe(code, 4098);
+  test::fill_and_encode(code, stripe, 50);
+  ScenarioGenerator gen(51);
+  const auto g = gen.sd_worst_case(code, 2, 2, 1);
+  stripe.erase(g.scenario);
+  const auto erased = stripe.snapshot();
+  const TraditionalDecoder dec(code);
+  for (const auto policy :
+       {SequencePolicy::kNormal, SequencePolicy::kMatrixFirst,
+        SequencePolicy::kAuto}) {
+    EXPECT_FALSE(dec.decode(g.scenario, stripe.block_ptrs(), 4097, policy));
+    EXPECT_FALSE(dec.encode(stripe.block_ptrs(), 4097, policy));
+  }
+  EXPECT_TRUE(stripe.equals(erased));
+}
+
 }  // namespace
 }  // namespace ppm

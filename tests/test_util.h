@@ -9,6 +9,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,8 +53,9 @@ inline std::vector<std::uint8_t> fill_and_encode(const ErasureCode& code,
   return stripe.snapshot();
 }
 
-/// Scratch directory unique to this process and instance, removed on scope
-/// exit — so tests running in parallel processes never share one.
+/// Scratch directory unique to this process and instance, created empty
+/// and removed on scope exit — so tests running in parallel processes
+/// never share one. A test that needs a missing directory uses a subpath.
 class TempDir {
  public:
   explicit TempDir(const std::string& tag)
@@ -61,6 +63,7 @@ class TempDir {
               ("ppm_" + tag + "_" + std::to_string(::getpid()) + "_" +
                std::to_string(reinterpret_cast<std::uintptr_t>(this)))) {
     std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
   }
   ~TempDir() {
     std::error_code ec;
@@ -81,9 +84,14 @@ inline std::string read_file(const std::filesystem::path& p) {
           std::istreambuf_iterator<char>()};
 }
 
+/// Write `bytes` to `p`, replacing it. Throws std::runtime_error when the
+/// file cannot be opened or fully written.
 inline void write_file(const std::filesystem::path& p,
                        const std::string& bytes) {
-  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out << bytes;
+  out.close();
+  if (!out) throw std::runtime_error("write_file: cannot write " + p.string());
 }
 
 /// Apply `edit` to the payload of the sealed record at `p` and seal it

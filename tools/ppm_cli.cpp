@@ -2,10 +2,10 @@
 //
 //   ppm_cli info     --code <family> [params]      code geometry + H census
 //   ppm_cli costs    --code <family> [params]      C1..C4 + partition shape
-//   ppm_cli bench    --code <family> [params]      traditional vs PPM timing
+//   ppm_cli bench    --code <family> [params]      traditional vs PPM vs Codec
+//                                                  wall-clock timing
 //   ppm_cli batch    --code <family> [params]      Codec batch decode + metrics JSON
 //   ppm_cli selftest --code <family> [params]      encode/erase/decode/verify
-//   ppm_cli sim      --code <family> [params]      failure-stream simulation
 //   ppm_cli verify   --code <family> [params]      static plan verification
 //                    [--scenario 1,5,9] [--sweep <disks>]
 //   ppm_cli analyze  --code <family> [params]      concurrency-hazard proof +
@@ -230,16 +230,21 @@ int cmd_bench(const ErasureCode& code, const Args& args) {
   if (!trad.encode(stripe.block_ptrs(), block)) return 1;
   const auto snap = stripe.snapshot();
 
+  const auto threads = static_cast<unsigned>(args.get("threads", 4));
   PpmOptions opts;
-  opts.threads = static_cast<unsigned>(args.get("threads", 4));
+  opts.threads = threads;
   const PpmDecoder ppm_dec(code, opts);
+  Codec codec(code, Codec::Options{.threads = threads});
 
-  stripe.erase(sc);  // warm-up
+  // Warm-up; it also leaves the codec's plan cached.
+  stripe.erase(sc);
   if (!trad.decode(sc, stripe.block_ptrs(), block)) return 1;
+  stripe.erase(sc);
+  if (!codec.decode(sc, stripe.block_ptrs(), block)) return 1;
 
   std::vector<double> tt;
   std::vector<double> tp;
-  std::vector<double> tmodel;
+  std::vector<double> tc;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     stripe.erase(sc);
     const auto tr = trad.decode(sc, stripe.block_ptrs(), block);
@@ -249,23 +254,27 @@ int cmd_bench(const ErasureCode& code, const Args& args) {
     const auto pr = ppm_dec.decode(sc, stripe.block_ptrs(), block);
     if (!pr) return 1;
     tp.push_back(pr->seconds);
-    tmodel.push_back(pr->modeled_seconds());
+    stripe.erase(sc);
+    const Timer timer;
+    if (!codec.decode(sc, stripe.block_ptrs(), block)) return 1;
+    tc.push_back(timer.seconds());
   }
   if (!stripe.equals(snap)) {
     std::fprintf(stderr, "VERIFICATION FAILED\n");
     return 1;
   }
-  std::sort(tt.begin(), tt.end());
-  std::sort(tp.begin(), tp.end());
-  std::sort(tmodel.begin(), tmodel.end());
-  const double t1 = tt[tt.size() / 2];
-  const double t2 = tp[tp.size() / 2];
-  const double t3 = tmodel[tmodel.size() / 2];
-  std::printf("traditional: %8.3f ms\n", t1 * 1e3);
-  std::printf("PPM (wall):  %8.3f ms  (%+.2f%%)\n", t2 * 1e3,
-              100 * (t1 / t2 - 1));
-  std::printf("PPM (model): %8.3f ms  (%+.2f%%, %zu threads)\n", t3 * 1e3,
-              100 * (t1 / t3 - 1), args.get("threads", 4));
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double t1 = median(tt);
+  const double t2 = median(tp);
+  const double t3 = median(tc);
+  std::printf("traditional:     %8.3f ms\n", t1 * 1e3);
+  std::printf("PPM Algorithm 1: %8.3f ms  (%+.2f%%, T=%u lanes)\n", t2 * 1e3,
+              100 * (t1 / t2 - 1), threads);
+  std::printf("Codec:           %8.3f ms  (%+.2f%%, T=%u, plan cached)\n",
+              t3 * 1e3, 100 * (t1 / t3 - 1), threads);
   return 0;
 }
 
@@ -315,36 +324,6 @@ int cmd_batch(const ErasureCode& code, const Args& args) {
                result->plan_seconds * 1e3, copts.threads, codec.cache_size(),
                codec.cache_capacity(), codec.cache_shards());
   std::printf("%s\n", codec.metrics_json().c_str());
-  return 0;
-}
-
-int cmd_sim(const ErasureCode& code, const Args& args) {
-  SimParams params;
-  params.hours = static_cast<double>(args.get("hours", 24 * 365));
-  params.disk_mtbf_hours =
-      static_cast<double>(args.get("mtbf", 20000));
-  params.sector_errors_per_disk_hour =
-      1.0 / static_cast<double>(args.get("sector_mtbh", 5000));
-  params.repair_hours = static_cast<double>(args.get("repair", 8));
-  params.stripes = args.get("stripes", 256);
-  params.block_bytes = args.get("block", 8192);
-  params.seed = args.get("seed", 1);
-
-  const ArraySimulator sim(code, params);
-  const SimResult trad = sim.run(RepairPolicy::kTraditional);
-  const SimResult ppm = sim.run(RepairPolicy::kPpm);
-  std::printf("%s over %.0f hours: %zu disk failures, %zu sector errors, "
-              "%zu repairs, %zu loss events\n",
-              code.name().c_str(), params.hours, trad.disk_failures,
-              trad.sector_errors, trad.repair_events, trad.data_loss_events);
-  std::printf("repair mult_XORs: traditional %zu, PPM %zu (%.2f%% saved)\n",
-              trad.compute.mult_xors, ppm.compute.mult_xors,
-              trad.compute.mult_xors == 0
-                  ? 0.0
-                  : 100.0 *
-                        (static_cast<double>(trad.compute.mult_xors) -
-                         static_cast<double>(ppm.compute.mult_xors)) /
-                        static_cast<double>(trad.compute.mult_xors));
   return 0;
 }
 
@@ -489,8 +468,9 @@ int cmd_verify(const ErasureCode& code, const Args& args) {
 // report the plan's parallelism profile (critical path, per-level width,
 // max-speedup bound). Covers the PPM group fan-out (analyze_plan), every
 // binary sub-system's XOR schedule as a parallel program over target
-// units (analyze_schedule), and the region-split slice geometry the
-// BlockParallelDecoder would use for --block/--threads (analyze_slices).
+// units (analyze_schedule), and the geometry of --threads region slices
+// of --block bytes over the whole-matrix plan, as
+// CachedPlan::execute_sliced would run them (analyze_slices).
 // With --optimize 1, the proof-carrying superoptimizer (ppm::xoropt) runs
 // over every binary sub-system's greedy schedule, the CLI re-proves each
 // optimized schedule independently, and the sweep JSON gains
@@ -600,15 +580,14 @@ int cmd_analyze(const ErasureCode& code, const Args& args) {
     for (const SubPlan& sub : plan->groups()) check_schedule(sub);
     if (plan->rest().has_value()) check_schedule(*plan->rest());
 
-    // 3. The slice geometry BlockParallelDecoder would fan out.
-    std::vector<std::size_t> all_rows(h.rows());
-    std::iota(all_rows.begin(), all_rows.end(), 0);
-    const auto whole = SubPlan::make(h, all_rows, sc.faulty(), sc.faulty(),
-                                     Sequence::kMatrixFirst);
+    // 3. The slice geometry of the whole-matrix plan on --threads slices.
+    const auto whole =
+        CachedPlan::whole_matrix(h, sc, SequencePolicy::kMatrixFirst);
     if (whole.has_value()) {
       ++slice_sets;
       const auto ranges = plan_slices(block, sym, threads);
-      take(hazard::analyze_slices(*whole, ranges, block, sym), "slices");
+      take(hazard::analyze_slices(*whole->rest(), ranges, block, sym),
+           "slices");
     }
 
     std::string widths;
@@ -1816,7 +1795,7 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   if (args.command.empty()) {
     std::fprintf(stderr,
-                 "usage: %s {info|costs|bench|batch|selftest|sim|verify|"
+                 "usage: %s {info|costs|bench|batch|selftest|verify|"
                  "analyze|store|chaos|serve|scrub|search} "
                  "--code {sd|pmds|lrc|xorbas|rs|crs|evenodd|rdp|star} "
                  "[params]\n"
@@ -1846,7 +1825,6 @@ int main(int argc, char** argv) {
     if (args.command == "costs") return cmd_costs(*code, args);
     if (args.command == "bench") return cmd_bench(*code, args);
     if (args.command == "batch") return cmd_batch(*code, args);
-    if (args.command == "sim") return cmd_sim(*code, args);
     if (args.command == "selftest") return cmd_selftest(*code, args);
     if (args.command == "verify") return cmd_verify(*code, args);
     if (args.command == "analyze") return cmd_analyze(*code, args);
