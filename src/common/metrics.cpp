@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -7,19 +8,15 @@ namespace ppm {
 
 namespace {
 
-void append_kv(std::string& out, const char* key, std::uint64_t value,
-               bool trailing_comma = true) {
+void append_kv(std::string& out, const char* key, std::uint64_t value) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 "%s", key, value,
-                trailing_comma ? "," : "");
+  std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 ",", key, value);
   out += buf;
 }
 
-void append_kv(std::string& out, const char* key, double value,
-               bool trailing_comma = true) {
+void append_kv(std::string& out, const char* key, double value) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%.9g%s", key, value,
-                trailing_comma ? "," : "");
+  std::snprintf(buf, sizeof buf, "\"%s\":%.9g,", key, value);
   out += buf;
 }
 
@@ -89,121 +86,71 @@ void LatencyHistogram::append_json(std::string& out) const {
   out += "]}";
 }
 
-void CodecMetrics::reset() {
-  plan_hits.reset();
-  plan_misses.reset();
-  plan_evictions.reset();
-  plan_failures.reset();
-  plans_verified.reset();
-  plan_verify_failures.reset();
-  plans_analyzed.reset();
-  hazard_failures.reset();
-  analyzed_work.reset();
-  analyzed_critical_path.reset();
-  planstore_loads.reset();
-  planstore_load_failures.reset();
-  planstore_stores.reset();
-  planstore_store_failures.reset();
-  planstore_quarantined.reset();
-  planstore_warm_hits.reset();
-  resilience_retries.reset();
-  resilience_escalations.reset();
-  resilience_partial_decodes.reset();
-  resilience_deadline_exceeded.reset();
-  resilience_corruption_detected.reset();
-  decodes.reset();
-  batches.reset();
-  stripes_decoded.reset();
-  mult_xors.reset();
-  bytes_touched.reset();
-  stripes_sliced.reset();
-  decode_seconds.reset();
-  batch_seconds.reset();
-  plan_seconds.reset();
+Counter::Counter(MetricSet* set, std::string_view path) {
+  set->entries_.push_back({path, this, nullptr});
 }
 
-std::string CodecMetrics::to_json() const {
-  std::string out;
-  out.reserve(1024);
-  out += "{\"plan_cache\":{";
-  append_kv(out, "hits", plan_hits.value());
-  append_kv(out, "misses", plan_misses.value());
-  append_kv(out, "evictions", plan_evictions.value());
-  append_kv(out, "failures", plan_failures.value());
-  append_kv(out, "verified", plans_verified.value());
-  append_kv(out, "verify_failures", plan_verify_failures.value(), false);
-  out += "},\"hazard\":{";
-  append_kv(out, "analyzed", plans_analyzed.value());
-  append_kv(out, "failures", hazard_failures.value());
-  append_kv(out, "work_mult_xors", analyzed_work.value());
-  append_kv(out, "critical_path_mult_xors", analyzed_critical_path.value(),
-            false);
-  out += "},\"planstore\":{";
-  append_kv(out, "loads", planstore_loads.value());
-  append_kv(out, "load_failures", planstore_load_failures.value());
-  append_kv(out, "stores", planstore_stores.value());
-  append_kv(out, "store_failures", planstore_store_failures.value());
-  append_kv(out, "quarantined", planstore_quarantined.value());
-  append_kv(out, "warm_hits", planstore_warm_hits.value(), false);
-  out += "},\"resilience\":{";
-  append_kv(out, "retries", resilience_retries.value());
-  append_kv(out, "escalations", resilience_escalations.value());
-  append_kv(out, "partial_decodes", resilience_partial_decodes.value());
-  append_kv(out, "deadline_exceeded", resilience_deadline_exceeded.value());
-  append_kv(out, "corruption_detected",
-            resilience_corruption_detected.value(), false);
-  out += "},\"decode\":{";
-  append_kv(out, "decodes", decodes.value());
-  append_kv(out, "batches", batches.value());
-  append_kv(out, "stripes", stripes_decoded.value());
-  append_kv(out, "mult_xors", mult_xors.value());
-  append_kv(out, "bytes_touched", bytes_touched.value());
-  append_kv(out, "sliced", stripes_sliced.value(), false);
-  out += "},\"latency\":{\"decode\":";
-  decode_seconds.append_json(out);
-  out += ",\"batch\":";
-  batch_seconds.append_json(out);
-  out += ",\"plan\":";
-  plan_seconds.append_json(out);
-  out += "}}";
-  return out;
+LatencyHistogram::LatencyHistogram(MetricSet* set, std::string_view path) {
+  set->entries_.push_back({path, nullptr, this});
 }
 
-void SearchMetrics::reset() {
-  searches.reset();
-  cache_hits.reset();
-  tuples_considered.reset();
-  tuples_prescreened.reset();
-  tuples_certified.reset();
-  tuples_rejected.reset();
-  classes_rank_checked.reset();
-  plans_proven.reset();
-  cert_loads.reset();
-  cert_load_failures.reset();
-  cert_quarantined.reset();
-  cert_stores.reset();
-  certify_seconds.reset();
+void MetricSet::reset() {
+  for (const Entry& e : entries_) {
+    if (e.counter != nullptr) {
+      e.counter->reset();
+    } else {
+      e.histogram->reset();
+    }
+  }
 }
 
-std::string SearchMetrics::to_json() const {
-  std::string out;
-  out.reserve(512);
-  out += "{\"search\":{";
-  append_kv(out, "searches", searches.value());
-  append_kv(out, "cache_hits", cache_hits.value());
-  append_kv(out, "tuples_considered", tuples_considered.value());
-  append_kv(out, "tuples_prescreened", tuples_prescreened.value());
-  append_kv(out, "tuples_certified", tuples_certified.value());
-  append_kv(out, "tuples_rejected", tuples_rejected.value());
-  append_kv(out, "classes_rank_checked", classes_rank_checked.value());
-  append_kv(out, "plans_proven", plans_proven.value());
-  append_kv(out, "cert_loads", cert_loads.value());
-  append_kv(out, "cert_load_failures", cert_load_failures.value());
-  append_kv(out, "cert_quarantined", cert_quarantined.value());
-  append_kv(out, "cert_stores", cert_stores.value());
-  out += "\"certify\":";
-  certify_seconds.append_json(out);
-  out += "}}";
+std::string MetricSet::to_json() const {
+  std::string out = "{";
+  // Path prefix of the objects open around the cursor ("serve.latency.");
+  // `first` is true while the innermost of them is still empty.
+  std::string_view open;
+  bool first = true;
+  const auto append_key = [&](std::string_view key) {
+    if (!first) out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
+  };
+  for (const Entry& e : entries_) {
+    const std::size_t leaf = e.path.rfind('.') + 1;  // 0 when no dot
+    const std::string_view parent = e.path.substr(0, leaf);
+    // Keep the open objects `parent` shares, whole segments only; close
+    // the rest, then open the segments `parent` adds.
+    std::size_t keep = 0;
+    for (std::size_t i = 0;
+         i < open.size() && i < parent.size() && open[i] == parent[i]; ++i) {
+      if (open[i] == '.') keep = i + 1;
+    }
+    for (std::size_t i = keep; i < open.size(); ++i) {
+      if (open[i] == '.') {
+        out += '}';
+        first = false;
+      }
+    }
+    for (std::size_t i = keep; i < parent.size();) {
+      const std::size_t dot = parent.find('.', i);
+      append_key(parent.substr(i, dot - i));
+      out += '{';
+      first = true;
+      i = dot + 1;
+    }
+    open = parent;
+    append_key(e.path.substr(leaf));
+    if (e.counter != nullptr) {
+      out += std::to_string(e.counter->value());
+    } else {
+      e.histogram->append_json(out);
+    }
+    first = false;
+  }
+  out.append(
+      static_cast<std::size_t>(std::count(open.begin(), open.end(), '.')) + 1,
+      '}');
   return out;
 }
 
@@ -212,128 +159,9 @@ SearchMetrics& search_metrics() {
   return metrics;
 }
 
-void ServeMetrics::reset() {
-  requests.reset();
-  accepted.reset();
-  rejected.reset();
-  batches.reset();
-  batched_requests.reset();
-  overlapped_decodes.reset();
-  group_solves_early.reset();
-  fallbacks.reset();
-  hedges_launched.reset();
-  hedges_won.reset();
-  hedges_wasted.reset();
-  reads_submitted.reset();
-  reads_failed.reset();
-  queue_seconds.reset();
-  fetch_seconds.reset();
-  solve_seconds.reset();
-  request_seconds.reset();
-  read_seconds.reset();
-}
-
-std::string ServeMetrics::to_json() const {
-  std::string out;
-  out.reserve(1024);
-  out += "{\"serve\":{";
-  append_kv(out, "requests", requests.value());
-  append_kv(out, "accepted", accepted.value());
-  append_kv(out, "rejected", rejected.value());
-  append_kv(out, "batches", batches.value());
-  append_kv(out, "batched_requests", batched_requests.value());
-  append_kv(out, "overlapped_decodes", overlapped_decodes.value());
-  append_kv(out, "group_solves_early", group_solves_early.value());
-  append_kv(out, "fallbacks", fallbacks.value());
-  append_kv(out, "hedges_launched", hedges_launched.value());
-  append_kv(out, "hedges_won", hedges_won.value());
-  append_kv(out, "hedges_wasted", hedges_wasted.value());
-  append_kv(out, "reads_submitted", reads_submitted.value());
-  append_kv(out, "reads_failed", reads_failed.value());
-  out += "\"latency\":{\"queue\":";
-  queue_seconds.append_json(out);
-  out += ",\"fetch\":";
-  fetch_seconds.append_json(out);
-  out += ",\"solve\":";
-  solve_seconds.append_json(out);
-  out += ",\"request\":";
-  request_seconds.append_json(out);
-  out += ",\"read\":";
-  read_seconds.append_json(out);
-  out += "}}}";
-  return out;
-}
-
 ServeMetrics& serve_metrics() {
   static ServeMetrics metrics;
   return metrics;
-}
-
-void ScrubMetrics::reset() {
-  sweeps.reset();
-  stripes_scanned.reset();
-  blocks_scanned.reset();
-  bytes_scanned.reset();
-  read_failures.reset();
-  crc_mismatches.reset();
-  latent_detected.reset();
-  spot_checks.reset();
-  spot_check_failures.reset();
-  stripes_ranked.reset();
-  repairs_attempted.reset();
-  repairs_completed.reset();
-  repairs_partial.reset();
-  repairs_failed.reset();
-  repairs_skipped.reset();
-  blocks_repaired.reset();
-  writebacks.reset();
-  writeback_failures.reset();
-  rate_limit_waits.reset();
-  journal_intents.reset();
-  journal_commits.reset();
-  journal_store_failures.reset();
-  journal_replayed.reset();
-  journal_quarantined.reset();
-  journal_pending.reset();
-  sweep_seconds.reset();
-  repair_seconds.reset();
-}
-
-std::string ScrubMetrics::to_json() const {
-  std::string out;
-  out.reserve(1024);
-  out += "{\"scrub\":{";
-  append_kv(out, "sweeps", sweeps.value());
-  append_kv(out, "stripes_scanned", stripes_scanned.value());
-  append_kv(out, "blocks_scanned", blocks_scanned.value());
-  append_kv(out, "bytes_scanned", bytes_scanned.value());
-  append_kv(out, "read_failures", read_failures.value());
-  append_kv(out, "crc_mismatches", crc_mismatches.value());
-  append_kv(out, "latent_detected", latent_detected.value());
-  append_kv(out, "spot_checks", spot_checks.value());
-  append_kv(out, "spot_check_failures", spot_check_failures.value());
-  append_kv(out, "stripes_ranked", stripes_ranked.value());
-  append_kv(out, "repairs_attempted", repairs_attempted.value());
-  append_kv(out, "repairs_completed", repairs_completed.value());
-  append_kv(out, "repairs_partial", repairs_partial.value());
-  append_kv(out, "repairs_failed", repairs_failed.value());
-  append_kv(out, "repairs_skipped", repairs_skipped.value());
-  append_kv(out, "blocks_repaired", blocks_repaired.value());
-  append_kv(out, "writebacks", writebacks.value());
-  append_kv(out, "writeback_failures", writeback_failures.value());
-  append_kv(out, "rate_limit_waits", rate_limit_waits.value());
-  append_kv(out, "journal_intents", journal_intents.value());
-  append_kv(out, "journal_commits", journal_commits.value());
-  append_kv(out, "journal_store_failures", journal_store_failures.value());
-  append_kv(out, "journal_replayed", journal_replayed.value());
-  append_kv(out, "journal_quarantined", journal_quarantined.value());
-  append_kv(out, "journal_pending", journal_pending.value());
-  out += "\"latency\":{\"sweep\":";
-  sweep_seconds.append_json(out);
-  out += ",\"repair\":";
-  repair_seconds.append_json(out);
-  out += "}}}";
-  return out;
 }
 
 ScrubMetrics& scrub_metrics() {

@@ -11,6 +11,10 @@
 // set of cells is not snapshotted as a unit; totals read while writers
 // are active are internally consistent per cell, approximate across
 // cells. That is the usual metrics contract.
+//
+// Every exported metric is declared once, in one of the MetricSets at the
+// bottom of this file, with its JSON path beside it: the set's one reset()
+// and one to_json() walk those registrations, so no key is spelled twice.
 #pragma once
 
 #include <array>
@@ -19,13 +23,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace ppm {
+
+class MetricSet;
 
 /// Monotonic event counter. add()/value() are wait-free relaxed atomics.
 class Counter {
  public:
   Counter() = default;
+  /// A member of `set`, exported under the dotted JSON path `path`.
+  Counter(MetricSet* set, std::string_view path);
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
@@ -47,6 +57,8 @@ class LatencyHistogram {
   static constexpr std::size_t kBuckets = 64;
 
   LatencyHistogram() = default;
+  /// A member of `set`, exported under the dotted JSON path `path`.
+  LatencyHistogram(MetricSet* set, std::string_view path);
   LatencyHistogram(const LatencyHistogram&) = delete;
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
@@ -112,21 +124,60 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_ns_{0};
 };
 
+/// The registry a metric struct derives from. Its Counter and
+/// LatencyHistogram members join it as they are constructed, in
+/// declaration order, each under a dotted JSON path; reset() and to_json()
+/// walk those registrations. Each dot opens a nested object, so members
+/// sharing a path prefix must be declared next to each other. Paths are
+/// kept as views: pass string literals. Recording stays one relaxed
+/// atomic on the member itself — the registry is read only by reset()
+/// and to_json().
+class MetricSet {
+ public:
+  MetricSet() = default;
+  MetricSet(const MetricSet&) = delete;
+  MetricSet& operator=(const MetricSet&) = delete;
+
+  /// Zero every registered metric.
+  void reset();
+
+  /// One JSON object holding every registered metric, nested by path.
+  /// Stable key names — the export format of the ppm_cli `--metrics`
+  /// flags and the ablation benches.
+  std::string to_json() const;
+
+ private:
+  friend class Counter;
+  friend class LatencyHistogram;
+
+  // Exactly one of `counter` and `histogram` is set.
+  struct Entry {
+    std::string_view path;
+    Counter* counter = nullptr;
+    LatencyHistogram* histogram = nullptr;
+  };
+  std::vector<Entry> entries_;
+};
+
 /// The codec's metric set: plan-cache traffic, decode volume, and
 /// latency distributions. One instance per Codec (aggregate across codecs
 /// in the application if desired); every member is individually
 /// thread-safe, so the struct needs no lock.
-struct CodecMetrics {
+struct CodecMetrics : MetricSet {
   // Plan cache.
-  Counter plan_hits;        ///< plan_for served from cache
-  Counter plan_misses;      ///< plan_for had to build
-  Counter plan_evictions;   ///< cached plans discarded by LRU pressure
-  Counter plan_failures;    ///< undecodable scenarios (build returned null)
+  Counter plan_hits{this, "plan_cache.hits"};  ///< plan_for served from cache
+  Counter plan_misses{this, "plan_cache.misses"};  ///< plan_for had to build
+  /// Cached plans discarded by LRU pressure.
+  Counter plan_evictions{this, "plan_cache.evictions"};
+  /// Undecodable scenarios (build returned null).
+  Counter plan_failures{this, "plan_cache.failures"};
 
   // Plan verification (populated in PPM_VERIFY_PLANS / Debug builds,
   // where every built plan runs through ppm::planverify before insertion).
-  Counter plans_verified;        ///< plans proven sound before caching
-  Counter plan_verify_failures;  ///< plans rejected by the verifier
+  /// Plans proven sound before caching.
+  Counter plans_verified{this, "plan_cache.verified"};
+  /// Plans rejected by the verifier.
+  Counter plan_verify_failures{this, "plan_cache.verify_failures"};
 
   // Concurrency-hazard analysis (analyze_hazard/). Every built plan is
   // analyzed so it carries its PlanProfile; in PPM_VERIFY_PLANS builds a
@@ -134,83 +185,107 @@ struct CodecMetrics {
   // the fleet-level parallelism picture: analyzed_work /
   // analyzed_critical_path is the average max-speedup bound over every
   // plan built.
-  Counter plans_analyzed;         ///< plans profiled (and proven race-free)
-  Counter hazard_failures;        ///< plans with a concurrency hazard
-  Counter analyzed_work;          ///< Σ total mult_XOR work of analyzed plans
-  Counter analyzed_critical_path; ///< Σ critical-path mult_XORs of same
+  /// Plans profiled (and proven race-free).
+  Counter plans_analyzed{this, "hazard.analyzed"};
+  /// Plans with a concurrency hazard.
+  Counter hazard_failures{this, "hazard.failures"};
+  /// Σ total mult_XOR work of analyzed plans.
+  Counter analyzed_work{this, "hazard.work_mult_xors"};
+  /// Σ critical-path mult_XORs of the same plans.
+  Counter analyzed_critical_path{this, "hazard.critical_path_mult_xors"};
 
   // Persistent plan store (plan_store/; populated once a store is
   // attached to the codec). Every load — read-through or warm — passed
   // the zero-trust gate (parse + planverify + hazard re-analysis);
   // load_failures counts records that did not, and quarantined counts the
   // files renamed aside as a result.
-  Counter planstore_loads;          ///< plans served from disk, re-verified
-  Counter planstore_load_failures;  ///< records failing parse or re-proof
-  Counter planstore_stores;         ///< plans written through to disk
-  Counter planstore_store_failures; ///< put() aborted by an I/O error
-  Counter planstore_quarantined;    ///< records renamed aside as untrusted
-  Counter planstore_warm_hits;      ///< warm() preloads entering the cache
+  /// Plans served from disk, re-verified.
+  Counter planstore_loads{this, "planstore.loads"};
+  /// Records failing parse or re-proof.
+  Counter planstore_load_failures{this, "planstore.load_failures"};
+  /// Plans written through to disk.
+  Counter planstore_stores{this, "planstore.stores"};
+  /// put() aborted by an I/O error.
+  Counter planstore_store_failures{this, "planstore.store_failures"};
+  /// Records renamed aside as untrusted.
+  Counter planstore_quarantined{this, "planstore.quarantined"};
+  /// warm() preloads entering the cache.
+  Counter planstore_warm_hits{this, "planstore.warm_hits"};
 
   // Resilient decode pipeline (codec/resilient.cpp). Events, not blocks:
   // one decode that retries a block three times counts three retries, and
   // corruption_detected counts every CRC mismatch observed (a persistently
   // corrupt block re-checked across retries counts each check).
-  Counter resilience_retries;             ///< survivor-read retries issued
-  Counter resilience_escalations;         ///< survivors promoted to faulty
-  Counter resilience_partial_decodes;     ///< decodes degraded to partial
-  Counter resilience_deadline_exceeded;   ///< decodes that ran out of budget
-  Counter resilience_corruption_detected; ///< expected-CRC mismatches
+  /// Survivor-read retries issued.
+  Counter resilience_retries{this, "resilience.retries"};
+  /// Survivors promoted to faulty.
+  Counter resilience_escalations{this, "resilience.escalations"};
+  /// Decodes degraded to partial.
+  Counter resilience_partial_decodes{this, "resilience.partial_decodes"};
+  /// Decodes that ran out of budget.
+  Counter resilience_deadline_exceeded{this, "resilience.deadline_exceeded"};
+  /// Expected-CRC mismatches.
+  Counter resilience_corruption_detected{this,
+                                         "resilience.corruption_detected"};
 
   // Decode volume.
-  Counter decodes;          ///< single-stripe decode() calls
-  Counter batches;          ///< decode_batch() calls
-  Counter stripes_decoded;  ///< stripes across all batches + decodes
-  Counter mult_xors;        ///< region ops issued (the paper's C, summed)
-  Counter bytes_touched;    ///< source bytes read by region ops
+  Counter decodes{this, "decode.decodes"};  ///< single-stripe decode() calls
+  Counter batches{this, "decode.batches"};  ///< decode_batch() calls
+  /// Stripes across all batches + decodes.
+  Counter stripes_decoded{this, "decode.stripes"};
+  /// Region ops issued (the paper's C, summed).
+  Counter mult_xors{this, "decode.mult_xors"};
+  /// Source bytes read by region ops.
+  Counter bytes_touched{this, "decode.bytes_touched"};
 
   // Slice fan-out (docs/CONCURRENCY.md §5): stripes, single or batched,
   // whose plan ran as more than one slice on the codec pool.
-  Counter stripes_sliced;
+  Counter stripes_sliced{this, "decode.sliced"};
 
   // Latency.
-  LatencyHistogram decode_seconds;  ///< per-stripe decode() wall time
-  LatencyHistogram batch_seconds;   ///< decode_batch() wall time
-  LatencyHistogram plan_seconds;    ///< plan build time (cache misses only)
-
-  void reset();
-
-  /// One JSON object with every counter and histogram. Stable key names —
-  /// this is the export format of `ppm_cli batch --metrics` and the
-  /// ablation benches.
-  std::string to_json() const;
+  /// Per-stripe decode() wall time.
+  LatencyHistogram decode_seconds{this, "latency.decode"};
+  /// decode_batch() wall time.
+  LatencyHistogram batch_seconds{this, "latency.batch"};
+  /// Plan build time (cache misses only).
+  LatencyHistogram plan_seconds{this, "latency.plan"};
 };
 
 /// Coefficient certification & search metrics (search_coeff/). Process-
 /// global rather than per-codec: certification runs once per geometry and
 /// is shared by every SDCode/PMDSCode construction in the process. Every
-/// member is individually thread-safe.
-struct SearchMetrics {
-  Counter searches;            ///< certified searches run (cache misses)
-  Counter cache_hits;          ///< sd_coefficients served from memory
-  Counter tuples_considered;   ///< candidate tuples drawn
-  Counter tuples_prescreened;  ///< candidates killed by the rank prescreen
-  Counter tuples_certified;    ///< candidates that proved exhaustively
-  Counter tuples_rejected;     ///< candidates refuted by the oracle
-  Counter classes_rank_checked;  ///< scenario classes rank-proven
-  Counter plans_proven;          ///< classes driven through planverify+hazard
+/// member is individually thread-safe. Exported as `{"search":{...}}` by
+/// `ppm_cli search --metrics`.
+struct SearchMetrics : MetricSet {
+  /// Certified searches run (cache misses).
+  Counter searches{this, "search.searches"};
+  /// sd_coefficients served from memory.
+  Counter cache_hits{this, "search.cache_hits"};
+  /// Candidate tuples drawn.
+  Counter tuples_considered{this, "search.tuples_considered"};
+  /// Candidates killed by the rank prescreen.
+  Counter tuples_prescreened{this, "search.tuples_prescreened"};
+  /// Candidates that proved exhaustively.
+  Counter tuples_certified{this, "search.tuples_certified"};
+  /// Candidates refuted by the oracle.
+  Counter tuples_rejected{this, "search.tuples_rejected"};
+  /// Scenario classes rank-proven.
+  Counter classes_rank_checked{this, "search.classes_rank_checked"};
+  /// Classes driven through planverify+hazard.
+  Counter plans_proven{this, "search.plans_proven"};
 
   // Certificate store (search_coeff/cert_store.h; zero-trust contract).
-  Counter cert_loads;          ///< certificates re-proven and served
-  Counter cert_load_failures;  ///< records failing parse or re-proof
-  Counter cert_quarantined;    ///< records renamed aside as untrusted
-  Counter cert_stores;         ///< certificates written to disk
+  /// Certificates re-proven and served.
+  Counter cert_loads{this, "search.cert_loads"};
+  /// Records failing parse or re-proof.
+  Counter cert_load_failures{this, "search.cert_load_failures"};
+  /// Records renamed aside as untrusted.
+  Counter cert_quarantined{this, "search.cert_quarantined"};
+  /// Certificates written to disk.
+  Counter cert_stores{this, "search.cert_stores"};
 
-  LatencyHistogram certify_seconds;  ///< per-tuple certification wall time
-
-  void reset();
-
-  /// `{"search":{...}}` — the export format of `ppm_cli search --metrics`.
-  std::string to_json() const;
+  /// Per-tuple certification wall time.
+  LatencyHistogram certify_seconds{this, "search.certify"};
 };
 
 /// The process-global search metric set.
@@ -219,42 +294,50 @@ SearchMetrics& search_metrics();
 /// Decode-serving front-end metrics (serve/). Process-global: one
 /// DecodeServer typically serves the process, and the async fetch layer
 /// (hedged reads) records here even when driven without a server. Every
-/// member is individually thread-safe.
-struct ServeMetrics {
+/// member is individually thread-safe. Exported as `{"serve":{...}}` by
+/// `ppm_cli serve --metrics`.
+struct ServeMetrics : MetricSet {
   // Admission control (bounded request queue).
-  Counter requests;          ///< submit() calls received
-  Counter accepted;          ///< requests admitted to the queue
-  Counter rejected;          ///< requests refused with backpressure
-  Counter batches;           ///< plan-shared batches dispatched
-  Counter batched_requests;  ///< requests folded into those batches
+  Counter requests{this, "serve.requests"};  ///< submit() calls received
+  Counter accepted{this, "serve.accepted"};  ///< requests admitted to the queue
+  /// Requests refused with backpressure.
+  Counter rejected{this, "serve.rejected"};
+  Counter batches{this, "serve.batches"};  ///< plan-shared batches dispatched
+  /// Requests folded into those batches.
+  Counter batched_requests{this, "serve.batched_requests"};
 
   // Overlapped decode outcomes.
-  Counter overlapped_decodes;  ///< fast-path fetch/solve-overlap completions
-  Counter group_solves_early;  ///< group solves started before last read
-  Counter fallbacks;           ///< overlap abandoned → decode_resilient
+  /// Fast-path fetch/solve-overlap completions.
+  Counter overlapped_decodes{this, "serve.overlapped_decodes"};
+  /// Group solves started before last read.
+  Counter group_solves_early{this, "serve.group_solves_early"};
+  /// Overlap abandoned → decode_resilient.
+  Counter fallbacks{this, "serve.fallbacks"};
 
   // Hedged reads. launched counts duplicate reads issued for stragglers;
   // won counts hedges whose completion arrived first; wasted counts
   // hedge completions discarded because another attempt already won.
-  Counter hedges_launched;
-  Counter hedges_won;
-  Counter hedges_wasted;
+  Counter hedges_launched{this, "serve.hedges_launched"};
+  Counter hedges_won{this, "serve.hedges_won"};
+  Counter hedges_wasted{this, "serve.hedges_wasted"};
 
   // Async fetch volume.
-  Counter reads_submitted;  ///< read attempts issued (primaries + hedges)
-  Counter reads_failed;     ///< attempts completing with kFailed
+  /// Read attempts issued (primaries + hedges).
+  Counter reads_submitted{this, "serve.reads_submitted"};
+  /// Attempts completing with kFailed.
+  Counter reads_failed{this, "serve.reads_failed"};
 
   // Per-stage tail latency.
-  LatencyHistogram queue_seconds;    ///< admission → dispatch wait
-  LatencyHistogram fetch_seconds;    ///< submit → last needed input landed
-  LatencyHistogram solve_seconds;    ///< first solve start → last solve end
-  LatencyHistogram request_seconds;  ///< submit → response completed
-  LatencyHistogram read_seconds;     ///< per-attempt async read wall time
-
-  void reset();
-
-  /// `{"serve":{...}}` — the export format of `ppm_cli serve --metrics`.
-  std::string to_json() const;
+  /// Admission → dispatch wait.
+  LatencyHistogram queue_seconds{this, "serve.latency.queue"};
+  /// Submit → last needed input landed.
+  LatencyHistogram fetch_seconds{this, "serve.latency.fetch"};
+  /// First solve start → last solve end.
+  LatencyHistogram solve_seconds{this, "serve.latency.solve"};
+  /// Submit → response completed.
+  LatencyHistogram request_seconds{this, "serve.latency.request"};
+  /// Per-attempt async read wall time.
+  LatencyHistogram read_seconds{this, "serve.latency.read"};
 };
 
 /// The process-global serving metric set.
@@ -263,49 +346,70 @@ ServeMetrics& serve_metrics();
 /// Scrub & proactive-repair metrics (scrub/). Process-global: one
 /// Scrubber typically patrols the process's fleet, and the repair
 /// journal records here even when driven standalone. Every member is
-/// individually thread-safe.
-struct ScrubMetrics {
+/// individually thread-safe. Exported as `{"scrub":{...}}` by
+/// `ppm_cli scrub --metrics`.
+struct ScrubMetrics : MetricSet {
   // Sweep volume and detection.
-  Counter sweeps;            ///< sweep() passes over a fleet
-  Counter stripes_scanned;   ///< stripes examined across sweeps
-  Counter blocks_scanned;    ///< blocks read + digest-checked
-  Counter bytes_scanned;     ///< bytes fetched by scrub reads
-  Counter read_failures;     ///< scrub reads exhausting their retries
-  Counter crc_mismatches;    ///< digest mismatches on readable blocks
-  Counter latent_detected;   ///< blocks classified latent (either cause)
-  Counter spot_checks;       ///< verify-decode spot checks run
-  Counter spot_check_failures;  ///< spot checks that did not complete
+  Counter sweeps{this, "scrub.sweeps"};  ///< sweep() passes over a fleet
+  /// Stripes examined across sweeps.
+  Counter stripes_scanned{this, "scrub.stripes_scanned"};
+  /// Blocks read + digest-checked.
+  Counter blocks_scanned{this, "scrub.blocks_scanned"};
+  /// Bytes fetched by scrub reads.
+  Counter bytes_scanned{this, "scrub.bytes_scanned"};
+  /// Scrub reads exhausting their retries.
+  Counter read_failures{this, "scrub.read_failures"};
+  /// Digest mismatches on readable blocks.
+  Counter crc_mismatches{this, "scrub.crc_mismatches"};
+  /// Blocks classified latent (either cause).
+  Counter latent_detected{this, "scrub.latent_detected"};
+  /// Verify-decode spot checks run.
+  Counter spot_checks{this, "scrub.spot_checks"};
+  /// Spot checks that did not complete.
+  Counter spot_check_failures{this, "scrub.spot_check_failures"};
 
   // Risk-ranked repair scheduler.
-  Counter stripes_ranked;      ///< damage reports risk-assessed
-  Counter repairs_attempted;   ///< stripes entering repair
-  Counter repairs_completed;   ///< every damaged block recovered + verified
-  Counter repairs_partial;     ///< some blocks recovered, not all
-  Counter repairs_failed;      ///< nothing recovered
-  Counter repairs_skipped;     ///< damage healed (or claimed) before repair
-  Counter blocks_repaired;     ///< blocks recovered, digest-verified
-  Counter writebacks;          ///< repaired blocks written back to storage
-  Counter writeback_failures;  ///< writebacks that failed (no commit)
+  /// Damage reports risk-assessed.
+  Counter stripes_ranked{this, "scrub.stripes_ranked"};
+  /// Stripes entering repair.
+  Counter repairs_attempted{this, "scrub.repairs_attempted"};
+  /// Every damaged block recovered + verified.
+  Counter repairs_completed{this, "scrub.repairs_completed"};
+  /// Some blocks recovered, not all.
+  Counter repairs_partial{this, "scrub.repairs_partial"};
+  Counter repairs_failed{this, "scrub.repairs_failed"};  ///< nothing recovered
+  /// Damage healed (or claimed) before repair.
+  Counter repairs_skipped{this, "scrub.repairs_skipped"};
+  /// Blocks recovered, digest-verified.
+  Counter blocks_repaired{this, "scrub.blocks_repaired"};
+  /// Repaired blocks written back to storage.
+  Counter writebacks{this, "scrub.writebacks"};
+  /// Writebacks that failed (no commit).
+  Counter writeback_failures{this, "scrub.writeback_failures"};
 
   // Token-bucket pacing.
-  Counter rate_limit_waits;  ///< scrub I/O acquisitions that had to sleep
+  /// Scrub I/O acquisitions that had to sleep.
+  Counter rate_limit_waits{this, "scrub.rate_limit_waits"};
 
   // Write-ahead repair journal (scrub/journal.h; zero-trust contract).
-  Counter journal_intents;         ///< intent records published
-  Counter journal_commits;         ///< records sealed committed
-  Counter journal_store_failures;  ///< journal writes aborted by I/O errors
-  Counter journal_replayed;        ///< records re-verified during replay
-  Counter journal_quarantined;     ///< records renamed aside as untrusted
-  Counter journal_pending;         ///< intent-only records found by replay
+  /// Intent records published.
+  Counter journal_intents{this, "scrub.journal_intents"};
+  /// Records sealed committed.
+  Counter journal_commits{this, "scrub.journal_commits"};
+  /// Journal writes aborted by I/O errors.
+  Counter journal_store_failures{this, "scrub.journal_store_failures"};
+  /// Records re-verified during replay.
+  Counter journal_replayed{this, "scrub.journal_replayed"};
+  /// Records renamed aside as untrusted.
+  Counter journal_quarantined{this, "scrub.journal_quarantined"};
+  /// Intent-only records found by replay.
+  Counter journal_pending{this, "scrub.journal_pending"};
 
   // Latency.
-  LatencyHistogram sweep_seconds;   ///< per-fleet sweep wall time
-  LatencyHistogram repair_seconds;  ///< per-stripe repair wall time
-
-  void reset();
-
-  /// `{"scrub":{...}}` — the export format of `ppm_cli scrub --metrics`.
-  std::string to_json() const;
+  /// Per-fleet sweep wall time.
+  LatencyHistogram sweep_seconds{this, "scrub.latency.sweep"};
+  /// Per-stripe repair wall time.
+  LatencyHistogram repair_seconds{this, "scrub.latency.repair"};
 };
 
 /// The process-global scrub metric set.

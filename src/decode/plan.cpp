@@ -63,23 +63,58 @@ std::optional<Prepared> prepare(const Matrix& h,
                   std::move(s_used)};
 }
 
+// The plan of a prepared system under `seq`. `g`, when given, is the
+// matrix-first product F⁻¹·S, already computed.
+SubPlan plan_of(Prepared&& prep, std::span<const std::size_t> unknowns,
+                Sequence seq, std::optional<Matrix> g = std::nullopt) {
+  const gf::Field& f = prep.finv.field();
+  Matrix left(f, 0, 0);
+  Matrix s(f, 0, 0);
+  std::size_t cost = 0;
+  if (seq == Sequence::kNormal) {
+    cost = prep.finv.nonzeros() + prep.s_used.nonzeros();
+    left = std::move(prep.finv);
+    s = std::move(prep.s_used);
+  } else {
+    left = g.has_value() ? std::move(*g) : prep.finv * prep.s_used;
+    cost = left.nonzeros();
+  }
+  // Distinct survivor blocks actually read: columns of the applied matrix
+  // (S for normal, G for matrix-first) with at least one nonzero.
+  const Matrix& applied = seq == Sequence::kNormal ? s : left;
+  std::size_t source_blocks = 0;
+  for (std::size_t c = 0; c < applied.cols(); ++c) {
+    source_blocks += !applied.column_is_zero(c);
+  }
+  return SubPlan::from_parts(
+      f, seq, std::vector<std::size_t>(unknowns.begin(), unknowns.end()),
+      std::move(prep.survivors), std::move(prep.h_rows), std::move(left),
+      std::move(s), cost, source_blocks);
+}
+
 // The one sequence choice of every plan builder: plan `unknowns` from
 // `rows` with the sequence `policy` names. kAuto takes matrix-first only
-// when it is strictly cheaper, so a tie keeps the normal sequence.
+// when it is strictly cheaper, so a tie keeps the normal sequence. The
+// system is prepared once, and kAuto's F⁻¹·S becomes the plan it picks.
 std::optional<SubPlan> plan_system(const Matrix& h,
                                    std::span<const std::size_t> rows,
                                    std::span<const std::size_t> unknowns,
                                    std::span<const std::size_t> excluded,
                                    SequencePolicy policy) {
-  Sequence seq = policy == SequencePolicy::kMatrixFirst
-                     ? Sequence::kMatrixFirst
-                     : Sequence::kNormal;
-  if (policy == SequencePolicy::kAuto) {
-    const auto costs = SubPlan::sequence_costs(h, rows, unknowns, excluded);
-    if (!costs.has_value()) return std::nullopt;
-    if (costs->second < costs->first) seq = Sequence::kMatrixFirst;
+  auto prep = prepare(h, rows, unknowns, excluded);
+  if (!prep.has_value()) return std::nullopt;
+  if (policy != SequencePolicy::kAuto) {
+    return plan_of(std::move(*prep), unknowns,
+                   policy == SequencePolicy::kMatrixFirst
+                       ? Sequence::kMatrixFirst
+                       : Sequence::kNormal);
   }
-  return SubPlan::make(h, rows, unknowns, excluded, seq);
+  Matrix g = prep->finv * prep->s_used;
+  if (g.nonzeros() < prep->finv.nonzeros() + prep->s_used.nonzeros()) {
+    return plan_of(std::move(*prep), unknowns, Sequence::kMatrixFirst,
+                   std::move(g));
+  }
+  return plan_of(std::move(*prep), unknowns, Sequence::kNormal);
 }
 
 }  // namespace
@@ -91,27 +126,7 @@ std::optional<SubPlan> SubPlan::make(const Matrix& h,
                                      Sequence seq) {
   auto prep = prepare(h, rows, unknowns, excluded);
   if (!prep.has_value()) return std::nullopt;
-
-  SubPlan plan(h.field(), seq);
-  plan.unknowns_.assign(unknowns.begin(), unknowns.end());
-  plan.survivors_ = std::move(prep->survivors);
-  plan.rows_ = std::move(prep->h_rows);
-  if (seq == Sequence::kNormal) {
-    plan.cost_ = prep->finv.nonzeros() + prep->s_used.nonzeros();
-    plan.finv_ = std::move(prep->finv);
-    plan.s_ = std::move(prep->s_used);
-  } else {
-    plan.finv_ = prep->finv * prep->s_used;  // G
-    plan.cost_ = plan.finv_.nonzeros();
-  }
-  // Distinct survivor blocks actually read: columns of the applied matrix
-  // (S for normal, G for matrix-first) with at least one nonzero.
-  const Matrix& applied = seq == Sequence::kNormal ? plan.s_ : plan.finv_;
-  for (std::size_t c = 0; c < applied.cols(); ++c) {
-    plan.source_blocks_ += !applied.column_is_zero(c);
-  }
-  plan.prepare_operands();
-  return plan;
+  return plan_of(std::move(*prep), unknowns, seq);
 }
 
 std::optional<std::pair<std::size_t, std::size_t>> SubPlan::sequence_costs(

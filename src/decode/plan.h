@@ -110,17 +110,17 @@ class SubPlan {
                                      std::span<const std::size_t> excluded,
                                      Sequence seq);
 
-  /// Cost both sequences would have for this system; used by Auto policies
-  /// without planning twice. Returns {normal, matrix_first}.
+  /// Cost both sequences would have for this system, without building a
+  /// plan (analyze_costs reports both). Returns {normal, matrix_first}.
   static std::optional<std::pair<std::size_t, std::size_t>> sequence_costs(
       const Matrix& h, std::span<const std::size_t> rows,
       std::span<const std::size_t> unknowns,
       std::span<const std::size_t> excluded);
 
-  /// Assemble a SubPlan from explicit parts, bypassing the planner. For
-  /// verification tooling and tests only (verify_plan/ needs plans with
-  /// deliberately corrupted internals); nothing validates the parts here —
-  /// that is the verifier's job.
+  /// Assemble a SubPlan from explicit parts. The planner builds every plan
+  /// through here; verification tooling and tests use it to build plans
+  /// with deliberately corrupted internals. Nothing validates the parts
+  /// here — that is the verifier's job.
   static SubPlan from_parts(const gf::Field& f, Sequence seq,
                             std::vector<std::size_t> unknowns,
                             std::vector<std::size_t> survivors,

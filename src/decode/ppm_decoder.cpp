@@ -7,7 +7,6 @@
 #include "common/cpu.h"
 #include "common/timer.h"
 #include "decode/plan.h"
-#include "parallel/task_group.h"
 
 #ifdef PPM_VERIFY_PLANS
 #include <stdexcept>
@@ -97,13 +96,6 @@ std::optional<PpmResult> PpmDecoder::decode(const FailureScenario& scenario,
   };
   if (serial_groups) {
     for (std::size_t i = 0; i < group_plans.size(); ++i) run_task(i);
-  } else if (options_.pool != nullptr) {
-    TaskGroup group(*options_.pool);
-    for (const auto& lane : placement.lane_units) {
-      if (lane.empty()) continue;
-      group.add([&run_lane, &lane] { run_lane(lane); });
-    }
-    group.wait();
   } else {
     // Paper-faithful ephemeral threads, one per populated lane.
     std::vector<std::jthread> workers;

@@ -3,7 +3,9 @@
 // parallel threads with the matrix-first sequence, then recover the
 // dependent blocks from the remaining sub-matrix with the cost-cheaper
 // sequence. It plans with CachedPlan::partitioned (decode/plan.h) and
-// runs the groups on lanes of its own; the figure benches time it as the
+// runs the groups on T ephemeral threads per decode — the paper's
+// execution model, whose thread-start cost is part of what Fig. 9
+// measures against stripe size. The figure benches time it as the
 // paper's algorithm, beside Codec's sliced executor.
 #pragma once
 
@@ -14,7 +16,6 @@
 #include "codes/erasure_code.h"
 #include "decode/scenario.h"
 #include "decode/traditional_decoder.h"
-#include "parallel/thread_pool.h"
 
 namespace ppm {
 
@@ -28,11 +29,6 @@ struct PpmOptions {
   /// C3 vs C4 tail terms; kNormal reproduces the paper's Algorithm 1, which
   /// always uses the normal sequence for H_rest (i.e. C4).
   SequencePolicy rest_policy = SequencePolicy::kAuto;
-
-  /// Optional persistent pool. When null, the decoder spawns T ephemeral
-  /// threads per decode — the paper's execution model, whose thread-start
-  /// cost is part of what Fig. 9 measures against stripe size.
-  ThreadPool* pool = nullptr;
 };
 
 struct PpmResult {

@@ -2,10 +2,8 @@
 //
 // Every Codec owns one, created on its first fan-out: its decode, encode
 // and batch decode queue one task per stripe×slice on it
-// (CachedPlan::execute_sliced, fed through a TaskGroup). PpmDecoder, the
-// paper's Algorithm 1 kept for the figures, may run its group lanes on a
-// pool passed via PpmOptions instead of the ephemeral threads it spawns by
-// default.
+// (CachedPlan::execute_sliced, fed through a TaskGroup). The serving
+// layer's group solves run on ThreadPool::shared().
 //
 // Shutdown contract (see docs/CONCURRENCY.md):
 //   * stop() begins shutdown. Every task accepted before stop() is

@@ -3,12 +3,11 @@
 //
 // The resilient pipeline (codec/resilient.h) pulls survivors one blocking
 // read at a time, so a single straggler stalls the whole decode for its
-// full delay. AsyncBlockSource is the submit/poll seam that breaks that
-// serialization: callers queue every survivor read at once and drain
-// completions as they land, which is what lets the overlap scheduler
-// (overlap.h) start each independent O1 group's solve the moment its
-// inputs arrive and lets the hedging policy duplicate reads that are
-// taking too long.
+// full delay. A ThreadedAsyncSource breaks that serialization: callers
+// queue every survivor read at once and drain completions as they land,
+// which is what lets the overlap scheduler (overlap.h) start each
+// independent O1 group's solve the moment its inputs arrive and lets the
+// hedging policy duplicate reads that are taking too long.
 //
 // The backend is thread-backed: a Reactor is a pool of threads running
 // plain blocking reads, and a ThreadedAsyncSource is one decode's session
@@ -17,7 +16,7 @@
 // decode; a standalone decode_overlapped builds a private one.
 //
 // Concurrency contract: submit() and poll() are individually thread-safe,
-// but completions are delivered to whichever caller polls — a source is
+// but completions are delivered to whichever caller polls — a session is
 // designed for ONE logical consumer (the overlap event loop) at a time.
 // Destination buffers are caller-owned and must stay valid until the
 // attempt's completion has been polled (or, after detach(), until the
@@ -45,34 +44,6 @@ struct ReadCompletion {
   std::uint64_t token = 0;
   std::size_t block = 0;
   io::ReadStatus status = io::ReadStatus::kFailed;
-};
-
-/// The async read seam: queue reads, drain completions.
-class AsyncBlockSource {
- public:
-  AsyncBlockSource() = default;
-  AsyncBlockSource(const AsyncBlockSource&) = delete;
-  AsyncBlockSource& operator=(const AsyncBlockSource&) = delete;
-  virtual ~AsyncBlockSource() = default;
-
-  virtual std::size_t block_count() const = 0;
-  virtual std::size_t block_bytes() const = 0;
-
-  /// Queue a read of the first `bytes` bytes of `block` into `dst`.
-  /// Returns the token its completion will carry. `dst` must remain
-  /// valid and untouched by the caller until that completion is polled.
-  virtual std::uint64_t submit(std::size_t block, std::uint8_t* dst,
-                               std::size_t bytes) = 0;
-
-  /// Append finished reads to `out`; returns how many were appended.
-  /// Blocks up to `wait` when nothing is ready yet and reads are in
-  /// flight; a zero wait is a pure poll. Returns 0 immediately when
-  /// nothing is in flight.
-  virtual std::size_t poll(std::vector<ReadCompletion>& out,
-                           std::chrono::nanoseconds wait) = 0;
-
-  /// Submitted attempts whose completion has not been polled yet.
-  virtual std::size_t in_flight() const = 0;
 };
 
 class ThreadedAsyncSource;
@@ -120,19 +91,32 @@ class Reactor {
 /// tolerate concurrent read() with distinct destination buffers (see
 /// io/block_source.h) and outlive every read submitted here. Destroying
 /// the session drops its queued reads and waits out its running ones.
-class ThreadedAsyncSource : public AsyncBlockSource {
+class ThreadedAsyncSource {
  public:
   ThreadedAsyncSource(Reactor& reactor, io::BlockSource& inner);
-  ~ThreadedAsyncSource() override;
+  ~ThreadedAsyncSource();
 
-  std::size_t block_count() const override { return inner_->block_count(); }
-  std::size_t block_bytes() const override { return inner_->block_bytes(); }
+  ThreadedAsyncSource(const ThreadedAsyncSource&) = delete;
+  ThreadedAsyncSource& operator=(const ThreadedAsyncSource&) = delete;
 
+  std::size_t block_count() const { return inner_->block_count(); }
+  std::size_t block_bytes() const { return inner_->block_bytes(); }
+
+  /// Queue a read of the first `bytes` bytes of `block` into `dst`.
+  /// Returns the token its completion will carry. `dst` must remain
+  /// valid and untouched by the caller until that completion is polled.
   std::uint64_t submit(std::size_t block, std::uint8_t* dst,
-                       std::size_t bytes) override;
+                       std::size_t bytes);
+
+  /// Append finished reads to `out`; returns how many were appended.
+  /// Blocks up to `wait` when nothing is ready yet and reads are in
+  /// flight; a zero wait is a pure poll. Returns 0 immediately when
+  /// nothing is in flight.
   std::size_t poll(std::vector<ReadCompletion>& out,
-                   std::chrono::nanoseconds wait) override;
-  std::size_t in_flight() const override;
+                   std::chrono::nanoseconds wait);
+
+  /// Submitted attempts whose completion has not been polled yet.
+  std::size_t in_flight() const;
 
   /// Stop consuming: nothing is polled or submitted after this call.
   /// `on_drained` runs once every attempt submitted so far has finished

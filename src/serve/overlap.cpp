@@ -1,6 +1,7 @@
 #include "serve/overlap.h"
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <limits>
@@ -19,6 +20,18 @@ namespace ppm::serve {
 namespace {
 
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+// The hedge threshold: max(kMinHedgeDelayNs, min(the kHedgeQuantile of
+// the read latencies observed so far, once kMinSamples reads completed,
+// kDeadlineFraction × deadline)).
+constexpr double kHedgeQuantile = 0.95;
+constexpr std::size_t kMinSamples = 4;
+constexpr double kDeadlineFraction = 0.25;
+constexpr std::int64_t kMinHedgeDelayNs = 50'000;
+/// Duplicate-read cap per block per decode.
+constexpr std::size_t kMaxHedgesPerRead = 2;
+/// Event-loop poll granularity (also bounds hedge-check latency).
+constexpr std::chrono::microseconds kPollInterval{200};
 
 /// Per-block fetch progress inside one decode's event loop.
 struct BlockFetch {
@@ -40,7 +53,7 @@ struct Attempt {
 
 /// Wait until every attempt submitted on `async` has completed,
 /// discarding the completions.
-void drain(AsyncBlockSource& async) {
+void drain(ThreadedAsyncSource& async) {
   std::vector<ReadCompletion> sink;
   while (async.in_flight() > 0) {
     sink.clear();
@@ -56,7 +69,7 @@ OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
                          io::BlockSource& source, std::uint8_t* const* blocks,
                          std::size_t block_bytes, const OverlapOptions& options,
                          std::span<const std::uint32_t> expected_crc,
-                         AsyncBlockSource& async,
+                         ThreadedAsyncSource& async,
                          std::vector<std::vector<std::uint8_t>>& scratch,
                          const Timer& clock) {
   OverlapResult out;
@@ -148,8 +161,6 @@ OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
 
   const bool parallel_solves =
       plan->profile().hazard_free && group_count > 1;
-  ThreadPool* pool = options.pool;
-  if (parallel_solves && pool == nullptr) pool = &ThreadPool::shared();
 
   std::mutex latch_mutex;
   std::condition_variable latch_cv;
@@ -180,7 +191,8 @@ OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
   const auto dispatch_group = [&](std::size_t g) {
     out.groups[g].inputs_ready_ns = clock.nanos();
     ++groups_dispatched;
-    if (parallel_solves && pool->try_submit([&run_group, g] { run_group(g); })) {
+    if (parallel_solves &&
+        ThreadPool::shared().try_submit([&run_group, g] { run_group(g); })) {
       return;
     }
     run_group(g);
@@ -214,19 +226,19 @@ OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
   LatencyHistogram observed;
   const auto hedge_threshold_ns = [&]() -> std::int64_t {
     std::int64_t by_quantile = kNever;
-    if (observed.count() >= options.hedge.min_samples) {
+    if (observed.count() >= kMinSamples) {
       by_quantile = static_cast<std::int64_t>(
-          observed.quantile_seconds(options.hedge.latency_quantile) * 1e9);
+          observed.quantile_seconds(kHedgeQuantile) * 1e9);
     }
     std::int64_t by_deadline = kNever;
     if (options.resilience.deadline.count() > 0) {
       by_deadline = static_cast<std::int64_t>(
-          options.hedge.deadline_fraction *
+          kDeadlineFraction *
           static_cast<double>(options.resilience.deadline.count()));
     }
     const std::int64_t threshold = std::min(by_quantile, by_deadline);
     if (threshold == kNever) return kNever;
-    return std::max(threshold, options.hedge.min_hedge_delay.count());
+    return std::max(threshold, kMinHedgeDelayNs);
   };
 
   const auto deadline_passed = [&]() {
@@ -242,7 +254,7 @@ OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
   std::vector<ReadCompletion> completions;
   while (arrived < needed && !fetch_failed && !deadline_passed()) {
     completions.clear();
-    async.poll(completions, options.poll_interval);
+    async.poll(completions, kPollInterval);
     for (const ReadCompletion& c : completions) {
       const auto it = attempts.find(c.token);
       if (it == attempts.end()) continue;  // not ours (cannot happen)
@@ -297,7 +309,7 @@ OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
         for (const std::size_t b : ready.all_inputs) {
           BlockFetch& f = fetch[b];
           if (f.arrived || f.outstanding == 0) continue;
-          if (f.hedges >= options.hedge.max_hedges_per_read) continue;
+          if (f.hedges >= kMaxHedgesPerRead) continue;
           if (now - f.last_submit_ns > threshold) issue(b, true);
         }
       }
@@ -361,24 +373,14 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
                                 std::uint8_t* const* blocks,
                                 std::size_t block_bytes,
                                 const OverlapOptions& options,
-                                std::span<const std::uint32_t> expected_crc,
-                                AsyncBlockSource* async) {
-  if (async == nullptr) {
-    Reactor reactor(options.reactor_threads);
-    OverlapTail tail;
-    OverlapResult out =
-        decode_overlapped(codec, scenario, source, blocks, block_bytes,
-                          options, expected_crc, reactor, tail);
-    drain(*tail.session);
-    out.total_ns = tail.clock.nanos();
-    return out;
-  }
-  const Timer clock;
-  std::vector<std::vector<std::uint8_t>> scratch;
-  OverlapResult out = run_decode(codec, scenario, source, blocks, block_bytes,
-                                 options, expected_crc, *async, scratch, clock);
-  drain(*async);
-  out.total_ns = clock.nanos();
+                                std::span<const std::uint32_t> expected_crc) {
+  Reactor reactor(options.reactor_threads);
+  OverlapTail tail;
+  OverlapResult out =
+      decode_overlapped(codec, scenario, source, blocks, block_bytes, options,
+                        expected_crc, reactor, tail);
+  drain(*tail.session);
+  out.total_ns = tail.clock.nanos();
   return out;
 }
 

@@ -3,7 +3,7 @@
 // PPM's partition proves the p independent O1 groups mutually
 // race-free, and hazard::plan_readiness derives exactly which source
 // blocks each group needs. decode_overlapped() exploits both: every
-// survivor read is submitted concurrently through an AsyncBlockSource,
+// survivor read is submitted concurrently through a ThreadedAsyncSource,
 // and each group's solve is dispatched the moment the last of its inputs
 // lands — long before the stripe's slowest read completes. The rest-rows
 // solve (which may read group-recovered blocks) stays gated on every
@@ -11,9 +11,9 @@
 // hazard-DAG edges.
 //
 // Straggler mitigation is hedging, not just deadlines: once an
-// outstanding read's age exceeds the observed read-latency quantile (or
-// a fraction of the decode deadline, whichever is sooner), a duplicate
-// read is issued into its own scratch buffer. First clean completion
+// outstanding read's age exceeds the observed read-latency p95 (or a
+// quarter of the decode deadline, whichever is sooner), a duplicate read
+// is issued into its own scratch buffer. First clean completion
 // wins and is copied into the caller's block exactly once; later
 // completions of the same block are discarded (counted as wasted).
 // Per-attempt scratch buffers are what make the race benign — no two
@@ -29,7 +29,6 @@
 // PR 5's recovery semantics.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -41,28 +40,15 @@
 #include "common/timer.h"
 #include "serve/async_source.h"
 
-namespace ppm {
-class ThreadPool;
-}
-
 namespace ppm::serve {
 
-/// When to duplicate an outstanding read. The hedge threshold is
-/// max(min_hedge_delay, min(latency-quantile estimate, deadline_fraction
-/// × deadline)); with no samples yet and no deadline there is no basis
-/// and no hedge fires.
+/// Whether to duplicate outstanding reads. The hedge threshold is
+/// max(50 µs, min(observed read-latency p95, deadline / 4)), with the p95
+/// trusted from the 4th completed read on; with no basis yet and no
+/// deadline no hedge fires. A block is hedged at most twice per decode.
+/// Those constants live in overlap.cpp (docs/SERVING.md §2).
 struct HedgePolicy {
   bool enabled = true;
-  /// Hedge reads older than this quantile of observed read latency.
-  double latency_quantile = 0.95;
-  /// Completed reads needed before the quantile estimate is trusted.
-  std::size_t min_samples = 4;
-  /// Hedge reads older than this fraction of the decode deadline.
-  double deadline_fraction = 0.25;
-  /// Floor under both signals — never hedge faster than this.
-  std::chrono::nanoseconds min_hedge_delay{50'000};
-  /// Duplicate-read cap per block per decode.
-  std::size_t max_hedges_per_read = 2;
 };
 
 struct OverlapOptions {
@@ -70,16 +56,9 @@ struct OverlapOptions {
   /// Retry budget, deadline and (for the fallback ladder) backoff.
   ResilienceOptions resilience;
   /// Reactor threads per decode: a standalone decode_overlapped builds a
-  /// private Reactor of this many (a caller-supplied AsyncBlockSource
-  /// wins); a DecodeServer's shared one has dispatchers × this many.
+  /// private Reactor of this many; a DecodeServer's shared one has
+  /// dispatchers × this many.
   unsigned reactor_threads = 4;
-  /// Solver pool for the group fan-out; nullptr = ThreadPool::shared().
-  /// Used only when the plan's profile is hazard_free with >= 2 groups —
-  /// otherwise group solves run in the event-loop thread (still
-  /// overlapping fetch, just not each other).
-  ThreadPool* pool = nullptr;
-  /// Event-loop poll granularity (also bounds hedge-check latency).
-  std::chrono::nanoseconds poll_interval{200'000};
 };
 
 /// Stage timestamps of one group's solve, in nanoseconds since the
@@ -126,19 +105,19 @@ struct OverlapResult {
 };
 
 /// Decode one stripe with concurrent, hedged survivor fetch and
-/// readiness-overlapped group solves. `source` is the fallback ladder's
-/// (and, when `async` is null, a private reactor's) read path; `async`,
-/// when given, must wrap the same underlying data. `blocks`/`block_bytes`
-/// and `expected_crc` follow Codec::decode_resilient's contract, which
-/// includes refusing a `block_bytes` that splits a symbol before any read.
-/// Returns only after every read it issued has finished.
-OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
-                                io::BlockSource& source,
-                                std::uint8_t* const* blocks,
-                                std::size_t block_bytes,
-                                const OverlapOptions& options = {},
-                                std::span<const std::uint32_t> expected_crc = {},
-                                AsyncBlockSource* async = nullptr);
+/// readiness-overlapped group solves. `source` is read through a private
+/// reactor and by the fallback ladder. Group solves run on
+/// ThreadPool::shared() when the plan's profile is hazard_free with >= 2
+/// groups, otherwise in the event-loop thread (still overlapping fetch,
+/// just not each other). `blocks`/`block_bytes` and `expected_crc` follow
+/// Codec::decode_resilient's contract, which includes refusing a
+/// `block_bytes` that splits a symbol before any read. Returns only after
+/// every read it issued has finished.
+OverlapResult decode_overlapped(
+    Codec& codec, const FailureScenario& scenario, io::BlockSource& source,
+    std::uint8_t* const* blocks, std::size_t block_bytes,
+    const OverlapOptions& options = {},
+    std::span<const std::uint32_t> expected_crc = {});
 
 /// What a served decode leaves behind when it returns: the reads it no
 /// longer needs (hedge losers, stragglers a hedge beat), still in flight

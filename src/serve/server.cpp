@@ -72,20 +72,18 @@ void DecodeServer::dispatcher_loop() {
       if (queue_.empty()) return;  // stop_ set and fully drained
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      if (options_.batch_by_plan) {
-        // Claim every queued request sharing the leader's plan key. One
-        // plan fetch below serves them all; order among the claimed
-        // requests is preserved, everyone else keeps their place. Copy
-        // the key: push_back below may reallocate `batch` and a
-        // reference into it would dangle mid-claim.
-        const FailureScenario key = batch.front().request.scenario;
-        for (auto it = queue_.begin(); it != queue_.end();) {
-          if (it->request.scenario == key) {
-            batch.push_back(std::move(*it));
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
+      // Claim every queued request sharing the leader's plan key. One
+      // plan fetch below serves them all; order among the claimed
+      // requests is preserved, everyone else keeps their place. Copy the
+      // key: push_back below may reallocate `batch` and a reference into
+      // it would dangle mid-claim.
+      const FailureScenario key = batch.front().request.scenario;
+      for (auto it = queue_.begin(); it != queue_.end();) {
+        if (it->request.scenario == key) {
+          batch.push_back(std::move(*it));
+          it = queue_.erase(it);
+        } else {
+          ++it;
         }
       }
     }

@@ -57,8 +57,6 @@ struct ServerOptions {
   /// Dispatcher threads (each runs one batch at a time, up to the
   /// verified recovery of each member).
   unsigned dispatchers = 2;
-  /// Claim same-scenario requests together (one plan fetch, N passes).
-  bool batch_by_plan = true;
   /// Per-decode fetch/hedge/solve configuration.
   OverlapOptions overlap;
 };

@@ -84,23 +84,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-TEST(PpmDecoder, SharedPoolExecution) {
-  const SDCode code(8, 8, 2, 2, 8);
-  Stripe stripe(code, 512);
-  const auto snap = test::fill_and_encode(code, stripe, 65);
-  ScenarioGenerator gen(66);
-  const auto g = gen.sd_worst_case(code, 2, 2, 1);
-  stripe.erase(g.scenario);
-  PpmOptions opts;
-  opts.threads = 4;
-  opts.pool = &ThreadPool::shared();
-  const PpmDecoder dec(code, opts);
-  const auto res =
-      dec.decode(g.scenario, stripe.block_ptrs(), stripe.block_bytes());
-  ASSERT_TRUE(res.has_value());
-  EXPECT_TRUE(stripe.equals(snap));
-}
-
 TEST(PpmDecoder, EncodeMatchesTraditionalEncode) {
   for (unsigned w : {8u, 16u}) {
     const SDCode code(6, 4, 2, 2, w);
@@ -204,9 +187,7 @@ TEST(PpmDecoder, RefusesBlocksThatSplitASymbol) {
   one.threads = 1;
   PpmOptions four;
   four.threads = 4;
-  PpmOptions pooled = four;
-  pooled.pool = &ThreadPool::shared();
-  for (const PpmOptions& opts : {one, four, pooled}) {
+  for (const PpmOptions& opts : {one, four}) {
     const PpmDecoder dec(code, opts);
     EXPECT_FALSE(dec.decode(g.scenario, stripe.block_ptrs(), 4097));
     EXPECT_FALSE(dec.encode(stripe.block_ptrs(), 4097));

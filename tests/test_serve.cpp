@@ -49,7 +49,7 @@ std::vector<std::uint32_t> digests_of(const std::vector<std::uint8_t>& snap,
   return crc;
 }
 
-// ---- AsyncBlockSource: the thread-backed reactor ------------------------
+// ---- ThreadedAsyncSource: the thread-backed reactor ---------------------
 
 TEST(AsyncSource, CompletionsCarryTheRightBytes) {
   const std::size_t kBlocks = 6;
