@@ -16,7 +16,9 @@
 // batch of at least `threads` stripes runs one slice per stripe, the
 // classic inter-stripe parallelism of [36]-[38]; a smaller batch, or one
 // stripe, is cut into ⌈threads / stripes⌉ slices per stripe, as long as
-// each slice carries kMinSliceWork.
+// each slice carries kMinSliceWork. Decodes over fallible reads run one
+// recovery ladder (decode_ladder, codec/resilient.h) under a serial or a
+// hedged fetch stage.
 //
 // Thread-safety: a Codec is safe for concurrent use from any number of
 // threads. plan_for/decode/encode/decode_batch may all run at once; the
@@ -107,19 +109,13 @@ class Codec {
               DecodeStats* stats = nullptr);
 
   /// Resilient decode over a fallible BlockSource (io/block_source.h):
-  /// survivors are fetched through `source` into the caller's `blocks`
-  /// regions with bounded retries + exponential backoff under one
-  /// per-decode deadline; a permanently unreadable (or, given digests,
-  /// corrupt) survivor is escalated into the faulty set and the decode
-  /// re-planned through the plan cache/store; an undecodable escalated
-  /// scenario still recovers every independent O1 group whose inputs are
-  /// readable (partial recovery). When `expected_crc` has one CRC32 per
-  /// block, survivor reads and recovered blocks are integrity-checked
-  /// against it and mismatches reported as corruption_detected. Never
-  /// throws on I/O faults; see codec/resilient.h and docs/ROBUSTNESS.md.
-  /// When `block_bytes` is not a multiple of the field's symbol size it
-  /// reads and touches nothing and reports every faulty block
-  /// unrecoverable.
+  /// decode_ladder with the serial stage, which reads survivors through
+  /// `source` into the caller's `blocks` one at a time, in plan order,
+  /// with bounded retries + exponential backoff under one per-decode
+  /// deadline. When `expected_crc` has one CRC32 per block, survivor
+  /// reads and recovered blocks are integrity-checked against it; any
+  /// other span is ignored. Never throws on I/O faults; see
+  /// codec/resilient.h and docs/ROBUSTNESS.md.
   ResilientResult decode_resilient(const FailureScenario& scenario,
                                    io::BlockSource& source,
                                    std::uint8_t* const* blocks,
@@ -127,6 +123,14 @@ class Codec {
                                    const ResilienceOptions& options = {},
                                    std::span<const std::uint32_t>
                                        expected_crc = {});
+
+  /// The recovery ladder (retry → escalate → degrade → verify) over any
+  /// fetch stage, into the stage's blocks; decode_resilient and
+  /// serve::decode_overlapped both run it. A `block_bytes` that splits a
+  /// symbol is refused before any read, every faulty block reported
+  /// unrecoverable. Accounts the decode in metrics() once.
+  ResilientResult decode_ladder(const FailureScenario& scenario,
+                                FetchStage& stage);
 
   /// Decode a batch of stripes sharing one failure scenario — the
   /// disk-rebuild path. Planning happens once; the stripes' slices are

@@ -1,14 +1,17 @@
-// Resilient decode pipeline (Codec::decode_resilient): the serving path
-// rebuilt over a fallible BlockSource. See codec/resilient.h for the
-// ladder contract and docs/ROBUSTNESS.md for the fault model.
+// The recovery ladder (Codec::decode_ladder) and its serial fetch stage
+// (Codec::decode_resilient). See codec/resilient.h for the ladder contract
+// and docs/ROBUSTNESS.md for the fault model.
 #include "codec/resilient.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 
+#include "analyze_hazard/hazard.h"
 #include "codec/codec.h"
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -16,6 +19,7 @@
 #include "decode/log_table.h"
 #include "decode/partition.h"
 #include "io/block_source.h"
+#include "parallel/thread_pool.h"
 
 namespace ppm {
 
@@ -54,9 +58,16 @@ RecoveryOutcome ResilientResult::outcome_of(std::size_t block) const {
   return RecoveryOutcome::kIntact;
 }
 
-namespace {
+bool FetchStage::verified(std::size_t block, const std::uint8_t* bytes) {
+  if (expected_crc.empty() ||
+      crc32(bytes, block_bytes) == expected_crc[block]) {
+    return true;
+  }
+  ++corruption_detected;
+  return false;
+}
 
-enum class FetchState : std::uint8_t { kUnread, kInBuffer, kFailed };
+namespace {
 
 /// Jitter-stream seed for decodes that did not pin one: a process-global
 /// counter, so concurrent decodes retrying against the same dead device
@@ -67,87 +78,48 @@ std::uint64_t next_jitter_seed() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Survivor fetch engine: reads blocks from the source into the caller's
-/// stripe buffers exactly once per decode, with bounded retries,
-/// exponential backoff and the per-decode deadline. CRC verification of
-/// fetched survivors (when digests are supplied) happens here too, so a
-/// silently corrupt read is indistinguishable from a failed one — it
-/// retries and, if persistent, escalates.
-class Fetcher {
+/// The serial stage: reads one block at a time, in the caller, straight
+/// into the caller's stripe buffers, with bounded retries, exponential
+/// backoff and the per-decode deadline. A read whose bytes fail their
+/// digest is a failed read — it retries and, if persistent, escalates.
+/// The ladder asks for each block at most once, so it keeps no state.
+class Fetcher final : public FetchStage {
  public:
   Fetcher(io::BlockSource& source, std::uint8_t* const* blocks,
           std::size_t block_bytes, const ResilienceOptions& options,
-          std::span<const std::uint32_t> expected_crc, const Timer& clock,
-          CodecMetrics& metrics, ResilientResult& out)
-      : source_(&source),
-        blocks_(blocks),
-        block_bytes_(block_bytes),
-        options_(&options),
-        expected_crc_(expected_crc),
-        clock_(&clock),
-        metrics_(&metrics),
-        out_(&out),
-        state_(source.block_count(), FetchState::kUnread),
+          std::span<const std::uint32_t> expected_crc, const Timer& clock)
+      : FetchStage(blocks, block_bytes, options, expected_crc, clock),
+        source_(&source),
         jitter_rng_(options.jitter_seed != 0 ? options.jitter_seed
                                              : next_jitter_seed()) {}
 
-  /// True once the per-decode deadline (if any) has elapsed. From then on
-  /// no source reads or backoff sleeps are issued.
-  bool deadline_passed() const {
-    return options_->deadline.count() > 0 &&
-           clock_->nanos() >= options_->deadline.count();
-  }
-
-  /// `block` was given up on (retries exhausted or deadline passed).
-  bool failed(std::size_t block) const {
-    return block < state_.size() && state_[block] == FetchState::kFailed;
-  }
-
-  /// Fetch `block` into the caller's buffer. Idempotent per decode: a
-  /// block already fetched returns true without touching the source, a
-  /// block already given up on returns false without new attempts.
-  bool fetch(std::size_t block) {
-    if (block >= state_.size()) return false;
-    if (state_[block] == FetchState::kInBuffer) return true;
-    if (state_[block] == FetchState::kFailed) return false;
+  bool fetch(std::size_t block, const Landed& landed) override {
+    if (block >= source_->block_count()) return false;
     for (std::size_t attempt = 0;; ++attempt) {
       if (deadline_passed()) {
-        out_->deadline_exceeded = true;
+        deadline_exceeded = true;
         break;
       }
-      bool ok = source_->read(block, blocks_[block], block_bytes_) ==
-                io::ReadStatus::kOk;
-      if (ok && has_digests() &&
-          crc32(blocks_[block], block_bytes_) != expected_crc_[block]) {
-        // A read that returns wrong bytes is a failed read that lied;
-        // count the detection and retry — transient corruption heals,
-        // persistent corruption escalates like any dead block.
-        ++out_->corruption_detected;
-        metrics_->resilience_corruption_detected.add();
-        ok = false;
-      }
-      if (ok) {
-        state_[block] = FetchState::kInBuffer;
+      if (source_->read(block, blocks[block], block_bytes) ==
+              io::ReadStatus::kOk &&
+          verified(block, blocks[block])) {
+        landed(block);
         return true;
       }
-      if (attempt >= options_->max_read_retries) break;
-      ++out_->retries;
-      metrics_->resilience_retries.add();
+      if (attempt >= options.max_read_retries) break;
+      ++retries;
       sleep_backoff(attempt);
     }
-    state_[block] = FetchState::kFailed;
     return false;
   }
 
  private:
-  bool has_digests() const { return !expected_crc_.empty(); }
-
   void sleep_backoff(std::size_t retry_index) {
     // Jitter first, then clamp: the deadline budget always wins.
-    auto delay = backoff_delay(*options_, retry_index, jitter_rng_);
-    if (options_->deadline.count() > 0) {
-      const std::chrono::nanoseconds remaining{options_->deadline.count() -
-                                               clock_->nanos()};
+    auto delay = backoff_delay(options, retry_index, jitter_rng_);
+    if (options.deadline.count() > 0) {
+      const std::chrono::nanoseconds remaining{options.deadline.count() -
+                                               clock.nanos()};
       delay = remaining.count() <= 0 ? std::chrono::nanoseconds{0}
                                      : std::min(delay, remaining);
     }
@@ -155,48 +127,119 @@ class Fetcher {
   }
 
   io::BlockSource* source_;
-  std::uint8_t* const* blocks_;
-  std::size_t block_bytes_;
-  const ResilienceOptions* options_;
-  std::span<const std::uint32_t> expected_crc_;
-  const Timer* clock_;
-  CodecMetrics* metrics_;
-  ResilientResult* out_;
-  std::vector<FetchState> state_;
   Rng jitter_rng_;  ///< per-decode jitter stream (see ResilienceOptions)
 };
 
-/// Classify every block into the result's disjoint outcome lists, set the
-/// summary flags, and account the decode in the metrics. `decoded` is the
-/// sorted set of blocks rewritten by the final executed sub-plans; a
+/// One round's group solves: each O1 group runs once its plan_readiness
+/// inputs are in — on ThreadPool::shared() when the stage allows it and
+/// the plan's hazard proof does (hazard-free, at least 2 groups), else in
+/// the fetching thread. wait() orders every solve before H_rest and before
+/// the round is left; pool tasks capture this object.
+class GroupSolves {
+ public:
+  GroupSolves(const CachedPlan& plan, const hazard::PlanReadiness& ready,
+              const std::vector<bool>& in_buffer, const FetchStage& stage,
+              DecodeStats& stats)
+      : groups_(plan.groups()),
+        stage_(&stage),
+        stats_(&stats),
+        pool_(stage.parallel_solves() && plan.profile().hazard_free &&
+              groups_.size() > 1),
+        timings_(groups_.size()),
+        remaining_(groups_.size(), 0),
+        waiting_(in_buffer.size()) {
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      for (const std::size_t b : ready.group_inputs[g]) {
+        if (b < in_buffer.size() && in_buffer[b]) continue;
+        ++remaining_[g];
+        if (b < waiting_.size()) waiting_[b].push_back(g);
+      }
+      if (remaining_[g] == 0) dispatch(g);
+    }
+  }
+
+  /// `block` landed: dispatch every group it completes.
+  void landed(std::size_t block) {
+    if (block >= waiting_.size()) return;
+    for (const std::size_t g : waiting_[block]) {
+      if (--remaining_[g] == 0) dispatch(g);
+    }
+  }
+
+  /// Wait for every dispatched solve; the timings are final then.
+  std::span<const GroupTiming> wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [this] { return done_ == dispatched_; });
+    return timings_;
+  }
+
+ private:
+  void dispatch(std::size_t g) {
+    timings_[g].inputs_ready_ns = stage_->clock.nanos();
+    ++dispatched_;
+    if (pool_ && ThreadPool::shared().try_submit([this, g] { run(g); })) {
+      return;
+    }
+    run(g);
+  }
+
+  void run(std::size_t g) {
+    const std::int64_t start = stage_->clock.nanos();
+    DecodeStats stats{};
+    groups_[g].execute(stage_->blocks, stage_->block_bytes, &stats);
+    const std::int64_t end = stage_->clock.nanos();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    timings_[g].solve_start_ns = start;
+    timings_[g].solve_end_ns = end;
+    stats_->mult_xors += stats.mult_xors;
+    stats_->bytes_touched += stats.bytes_touched;
+    stats_->blocks_read += stats.blocks_read;
+    ++done_;
+    // Notify under the lock: once wait() observes the final count this
+    // object may be torn down, condition variable included.
+    done_cv_.notify_one();
+  }
+
+  std::span<const SubPlan> groups_;
+  const FetchStage* stage_;
+  DecodeStats* stats_;
+  bool pool_;
+  std::vector<GroupTiming> timings_;
+  std::vector<std::size_t> remaining_;              ///< inputs still out
+  std::vector<std::vector<std::size_t>> waiting_;  ///< groups per block
+  std::mutex mutex_;
+  std::condition_variable done_cv_;
+  std::size_t dispatched_ = 0;
+  std::size_t done_ = 0;
+};
+
+/// Classify every block into the result's disjoint outcome lists, fold in
+/// the stage's tallies, set the summary flags, and account the decode in
+/// the metrics — once per decode, whichever stage fetched. `decoded` is
+/// the sorted set of blocks rewritten by the final executed sub-plans; a
 /// decoded block is re-verified against its expected CRC (rung 4) before
 /// it may be reported as recovered.
 void finish(ResilientResult& out, const std::vector<std::size_t>& faulty,
-            const std::vector<std::size_t>& decoded, const Fetcher& fetcher,
-            std::span<const std::uint32_t> expected_crc,
-            std::uint8_t* const* blocks, std::size_t block_bytes,
-            std::size_t total_blocks, const Timer& clock,
+            const std::vector<std::size_t>& decoded,
+            const std::vector<bool>& lost, FetchStage& stage,
             CodecMetrics& metrics) {
-  for (std::size_t b = 0; b < total_blocks; ++b) {
+  for (std::size_t b = 0; b < lost.size(); ++b) {
     const bool is_faulty = std::binary_search(faulty.begin(), faulty.end(), b);
-    // A fetch-failed survivor the ladder could not escalate (deadline or
+    // A lost survivor the ladder could not escalate (deadline or
     // escalation cap) is an outcome too: its bytes never arrived.
-    if (!is_faulty && !fetcher.failed(b)) continue;
+    if (!is_faulty && !lost[b]) continue;
     if (std::binary_search(decoded.begin(), decoded.end(), b)) {
-      if (!expected_crc.empty() &&
-          crc32(blocks[b], block_bytes) != expected_crc[b]) {
-        out.corrupted.push_back(b);
-        ++out.corruption_detected;
-        metrics.resilience_corruption_detected.add();
-      } else {
-        out.recovered.push_back(b);
-      }
-    } else if (fetcher.failed(b)) {
+      (stage.verified(b, stage.blocks[b]) ? out.recovered : out.corrupted)
+          .push_back(b);
+    } else if (lost[b]) {
       out.source_failed.push_back(b);
     } else {
       out.unrecoverable.push_back(b);
     }
   }
+  out.retries = stage.retries;
+  out.corruption_detected = stage.corruption_detected;
+  out.deadline_exceeded = stage.deadline_exceeded;
   out.complete = out.corrupted.empty() && out.source_failed.empty() &&
                  out.unrecoverable.empty();
   out.partial = !out.complete && !out.recovered.empty();
@@ -204,7 +247,9 @@ void finish(ResilientResult& out, const std::vector<std::size_t>& faulty,
   metrics.stripes_decoded.add();
   metrics.mult_xors.add(out.stats.mult_xors);
   metrics.bytes_touched.add(out.stats.bytes_touched);
-  metrics.decode_seconds.record_seconds(clock.seconds());
+  metrics.decode_seconds.record_seconds(stage.clock.seconds());
+  metrics.resilience_retries.add(out.retries);
+  metrics.resilience_corruption_detected.add(out.corruption_detected);
   if (out.deadline_exceeded) metrics.resilience_deadline_exceeded.add();
 }
 
@@ -215,8 +260,17 @@ ResilientResult Codec::decode_resilient(
     std::uint8_t* const* blocks, std::size_t block_bytes,
     const ResilienceOptions& options,
     std::span<const std::uint32_t> expected_crc) {
+  const Timer clock;
+  Fetcher fetcher(source, blocks, block_bytes, options, expected_crc, clock);
+  return decode_ladder(scenario, fetcher);
+}
+
+ResilientResult Codec::decode_ladder(const FailureScenario& scenario,
+                                     FetchStage& stage) {
   ResilientResult out;
   out.final_scenario = scenario;
+  std::uint8_t* const* const blocks = stage.blocks;
+  const std::size_t block_bytes = stage.block_bytes;
   if (block_bytes % code_->field().symbol_bytes() != 0) {
     // Refused before any read: no kernel can rebuild a split symbol.
     out.unrecoverable.assign(scenario.faulty().begin(),
@@ -227,78 +281,82 @@ ResilientResult Codec::decode_resilient(
     out.complete = true;
     return out;
   }
-  const Timer clock;
+  const std::size_t total = code_->total_blocks();
   // Digests are all-or-nothing: one CRC32 per block of the stripe.
-  if (expected_crc.size() != code_->total_blocks()) expected_crc = {};
-  Fetcher fetcher(source, blocks, block_bytes, options, expected_crc, clock,
-                  metrics_, out);
+  if (stage.expected_crc.size() != total) stage.expected_crc = {};
 
   // The working faulty set: the scenario plus every escalated survivor.
   // Kept sorted so sub-plan survivor lists can be membership-tested.
   std::vector<std::size_t> faulty(scenario.faulty().begin(),
                                   scenario.faulty().end());
-  const auto in_faulty = [&faulty](std::size_t b) {
-    return std::binary_search(faulty.begin(), faulty.end(), b);
+  // The ladder's view of the survivors: landed in the caller's buffer,
+  // or asked for and given up on (lost).
+  std::vector<bool> in_buffer(total, false);
+  std::vector<bool> lost(total, false);
+  const auto have = [&](std::size_t b,
+                        const FetchStage::Landed& landed) -> bool {
+    if (b < total && (in_buffer[b] || lost[b])) return in_buffer[b];
+    if (stage.fetch(b, landed)) return true;
+    if (b < total) lost[b] = true;
+    return false;
+  };
+  const FetchStage::Landed mark = [&in_buffer, total](std::size_t b) {
+    if (b < total) in_buffer[b] = true;
   };
 
   // ---- Rungs 1+2: retry + escalate, re-planning each round. ----------
   // Each round replans for the current faulty set (plan cache / store
-  // warm hit), fetches each sub-plan's survivors and executes it. A
-  // survivor whose reads fail permanently is promoted into the faulty
-  // set and the round restarts; re-executing earlier sub-plans is safe
-  // (they overwrite their outputs from fetched survivors). The loop
-  // terminates: every escalation strictly grows `faulty`, and an
-  // over-capability set makes plan_for return null.
-  bool ladder_open = true;  // false: stop escalating, degrade to partial
-  std::shared_ptr<const CachedPlan> plan;
-  while (ladder_open) {
-    const FailureScenario current{
-        std::vector<std::size_t>(faulty.begin(), faulty.end())};
-    out.final_scenario = current;
-    plan = faulty.size() > code_->check_rows() ? nullptr : plan_for(current);
+  // warm hit) and fetches the plan's survivors in plan order, solving
+  // each group as its inputs land. The first survivor in plan order that
+  // the stage gives up on is promoted into the faulty set and the round
+  // restarts; re-executing groups is safe (they overwrite their outputs
+  // from fetched survivors). The loop terminates: every escalation
+  // strictly grows `faulty`, and an over-capability set makes plan_for
+  // return null.
+  for (;;) {
+    out.final_scenario = FailureScenario(faulty);
+    const std::shared_ptr<const CachedPlan> plan =
+        faulty.size() > code_->check_rows() ? nullptr
+                                            : plan_for(out.final_scenario);
     if (plan == nullptr) break;  // undecodable: degrade to partial
 
-    bool escalated = false;
-    const auto run_sub = [&](const SubPlan& sub) -> bool {
-      for (const std::size_t s : sub.survivors()) {
-        // H_rest may read blocks an earlier group recovered in-buffer;
-        // those are in the faulty set and must not be source-read.
-        if (in_faulty(s)) continue;
-        if (fetcher.fetch(s)) continue;
-        if (fetcher.deadline_passed() ||
-            out.escalations >= options.max_escalations) {
-          ladder_open = false;  // cannot escalate: degrade to partial
-          return false;
-        }
-        faulty.insert(std::upper_bound(faulty.begin(), faulty.end(), s), s);
-        ++out.escalations;
-        metrics_.resilience_escalations.add();
-        escalated = true;
-        return false;
-      }
-      sub.execute(blocks, block_bytes, &out.stats);
-      return true;
+    const hazard::PlanReadiness ready = hazard::plan_readiness(*plan);
+    // Plan order (FetchStage::fetch); a block already in is skipped.
+    std::vector<std::size_t> order;
+    for (const auto& inputs : ready.group_inputs) {
+      order.insert(order.end(), inputs.begin(), inputs.end());
+    }
+    order.insert(order.end(), ready.rest_inputs.begin(),
+                 ready.rest_inputs.end());
+    GroupSolves solves(*plan, ready, in_buffer, stage, out.stats);
+    const FetchStage::Landed landed = [&](std::size_t b) {
+      mark(b);
+      solves.landed(b);
     };
-
-    bool executed = true;
-    for (const SubPlan& sub : plan->groups()) {
-      if (!run_sub(sub)) {
-        executed = false;
-        break;
+    stage.prefetch(ready.all_inputs);
+    const auto miss = std::find_if(
+        order.begin(), order.end(),
+        [&](std::size_t s) { return !have(s, landed); });
+    const std::span<const GroupTiming> timings = solves.wait();
+    if (miss == order.end()) {
+      // Every group ran; H_rest reads their outputs in-buffer.
+      std::int64_t rest_start_ns = -1;
+      if (plan->rest().has_value()) {
+        rest_start_ns = stage.clock.nanos();
+        plan->rest()->execute(blocks, block_bytes, &out.stats);
       }
+      stage.solved(timings, rest_start_ns);
+      finish(out, faulty, faulty, lost, stage, metrics_);
+      return out;
     }
-    if (executed && plan->rest().has_value()) {
-      executed = run_sub(*plan->rest());
+    if (stage.deadline_passed() ||
+        out.escalations >= stage.options.max_escalations) {
+      break;  // cannot escalate: degrade to partial
     }
-    if (!executed) {
-      if (escalated) continue;  // replan with the larger faulty set
-      break;                    // ladder closed: degrade to partial
-    }
-
-    // Full decode executed: every block of `faulty` was rewritten.
-    finish(out, faulty, faulty, fetcher, expected_crc, blocks, block_bytes,
-           code_->total_blocks(), clock, metrics_);
-    return out;
+    faulty.insert(std::upper_bound(faulty.begin(), faulty.end(), *miss),
+                  *miss);
+    ++out.escalations;
+    metrics_.resilience_escalations.add();
   }
 
   // ---- Rung 3: partial recovery over the O1 group decomposition. -----
@@ -307,62 +365,39 @@ ResilientResult Codec::decode_resilient(
   // group whose survivors are all readable; groups with unreadable or
   // unsolvable inputs leave their blocks unrecovered. If every group
   // solved, H_rest gets the same chance with the recovered blocks
-  // readable in-buffer.
+  // readable in-buffer. out.final_scenario already holds `faulty`.
+  out.degraded = true;
   metrics_.resilience_partial_decodes.add();
-  const FailureScenario current{
-      std::vector<std::size_t>(faulty.begin(), faulty.end())};
-  out.final_scenario = current;
   const Matrix& h = code_->parity_check();
-  const LogTable table = LogTable::build(h, current.faulty());
+  const LogTable table = LogTable::build(h, out.final_scenario.faulty());
   const Partition part = make_partition(h, table);
-  std::vector<std::size_t> decoded;
-
+  std::vector<std::size_t> decoded;  // sorted
   const auto try_solve = [&](std::span<const std::size_t> rows,
                              std::span<const std::size_t> unknowns,
-                             std::span<const std::size_t> excluded) -> bool {
+                             std::span<const std::size_t> excluded) {
     auto sub = SubPlan::make(h, rows, unknowns, excluded,
                              Sequence::kMatrixFirst);
-    if (!sub.has_value()) return false;
+    if (!sub.has_value()) return;
     for (const std::size_t s : sub->survivors()) {
       if (std::binary_search(decoded.begin(), decoded.end(), s)) {
         continue;  // recovered earlier this pass; valid in-buffer
       }
-      if (!fetcher.fetch(s)) return false;
+      if (!have(s, mark)) return;
     }
     sub->execute(blocks, block_bytes, &out.stats);
-    return true;
+    decoded.insert(decoded.end(), unknowns.begin(), unknowns.end());
+    std::sort(decoded.begin(), decoded.end());
   };
-
   for (const IndependentGroup& g : part.groups) {
-    if (try_solve(g.rows, g.faulty_cols, current.faulty())) {
-      for (const std::size_t b : g.faulty_cols) {
-        decoded.insert(std::upper_bound(decoded.begin(), decoded.end(), b),
-                       b);
-      }
-    }
+    try_solve(g.rows, g.faulty_cols, out.final_scenario.faulty());
   }
-  if (!part.rest_empty()) {
-    // H_rest may legitimately read group-recovered blocks, so exclude
-    // only the still-unknown blocks (mirrors Codec::build_plan, which
-    // excludes rest_faulty once the groups are known to have run).
-    std::vector<std::size_t> still_faulty;
-    for (const std::size_t b : faulty) {
-      if (!std::binary_search(decoded.begin(), decoded.end(), b)) {
-        still_faulty.push_back(b);
-      }
-    }
-    const bool groups_all_decoded =
-        still_faulty.size() == part.rest_faulty.size();
-    if (groups_all_decoded &&
-        try_solve(part.rest_rows, part.rest_faulty, still_faulty)) {
-      for (const std::size_t b : part.rest_faulty) {
-        decoded.insert(std::upper_bound(decoded.begin(), decoded.end(), b),
-                       b);
-      }
-    }
+  if (!part.rest_empty() &&
+      decoded.size() + part.rest_faulty.size() == faulty.size()) {
+    // Every group decoded, so H_rest may read their outputs: exclude only
+    // its own unknowns (as Codec::build_plan does).
+    try_solve(part.rest_rows, part.rest_faulty, part.rest_faulty);
   }
-  finish(out, faulty, decoded, fetcher, expected_crc, blocks, block_bytes,
-         code_->total_blocks(), clock, metrics_);
+  finish(out, faulty, decoded, lost, stage, metrics_);
   return out;
 }
 

@@ -307,11 +307,11 @@ struct ServeMetrics : MetricSet {
   Counter batched_requests{this, "serve.batched_requests"};
 
   // Overlapped decode outcomes.
-  /// Fast-path fetch/solve-overlap completions.
+  /// Served decodes completed in their first ladder round.
   Counter overlapped_decodes{this, "serve.overlapped_decodes"};
   /// Group solves started before last read.
   Counter group_solves_early{this, "serve.group_solves_early"};
-  /// Overlap abandoned → decode_resilient.
+  /// Served decodes whose ladder escalated or degraded.
   Counter fallbacks{this, "serve.fallbacks"};
 
   // Hedged reads. launched counts duplicate reads issued for stragglers;

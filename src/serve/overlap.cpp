@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
-#include "analyze_hazard/hazard.h"
-#include "common/crc32.h"
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "parallel/thread_pool.h"
 
 namespace ppm::serve {
 
@@ -33,13 +28,13 @@ constexpr std::size_t kMaxHedgesPerRead = 2;
 /// Event-loop poll granularity (also bounds hedge-check latency).
 constexpr std::chrono::microseconds kPollInterval{200};
 
-/// Per-block fetch progress inside one decode's event loop.
+/// Per-block fetch progress across one decode's rounds.
 struct BlockFetch {
-  bool needed = false;
-  bool arrived = false;
-  std::size_t outstanding = 0;   ///< attempts in flight
-  std::size_t failures = 0;      ///< failed/corrupt completions consumed
-  std::size_t hedges = 0;        ///< duplicate reads issued
+  bool arrived = false;  ///< landed in the caller's buffer
+  bool failed = false;   ///< given up on
+  std::size_t outstanding = 0;  ///< attempts in flight
+  std::size_t failures = 0;     ///< failed/corrupt completions consumed
+  std::size_t hedges = 0;       ///< duplicate reads issued
   std::int64_t last_submit_ns = 0;
 };
 
@@ -51,320 +46,170 @@ struct Attempt {
   bool hedge = false;
 };
 
-/// Wait until every attempt submitted on `async` has completed,
-/// discarding the completions.
-void drain(ThreadedAsyncSource& async) {
-  std::vector<ReadCompletion> sink;
-  while (async.in_flight() > 0) {
-    sink.clear();
-    async.poll(sink, std::chrono::milliseconds{5});
-  }
-}
+/// The hedged stage: a round's reads all in flight at once on one
+/// session, each into its own scratch buffer. The first clean completion
+/// of a block is copied into the caller's buffer; a failed or corrupt one
+/// is resubmitted at once, without backoff, until the retry budget is
+/// spent; an outstanding read older than the hedge threshold gets a
+/// duplicate. The event loop runs only inside fetch().
+class HedgedStage final : public FetchStage {
+ public:
+  HedgedStage(OverlapTail& tail, std::uint8_t* const* blocks,
+              std::size_t block_bytes, const OverlapOptions& options,
+              std::span<const std::uint32_t> expected_crc, OverlapResult& out)
+      : FetchStage(blocks, block_bytes, options.resilience, expected_crc,
+                   tail.clock),
+        async_(tail.session.get()),
+        scratch_(&tail.scratch),
+        hedge_(options.hedge.enabled),
+        out_(&out),
+        fetch_(async_->block_count()) {}
 
-/// The fast path, or the fallback ladder, on `async`. Returns once the
-/// result is known, leaving total_ns to the caller: attempts the decode
-/// no longer needs may still be in flight on `async`, writing into
-/// `scratch`, which must outlive them. Every group solve has finished.
-OverlapResult run_decode(Codec& codec, const FailureScenario& scenario,
-                         io::BlockSource& source, std::uint8_t* const* blocks,
-                         std::size_t block_bytes, const OverlapOptions& options,
-                         std::span<const std::uint32_t> expected_crc,
-                         ThreadedAsyncSource& async,
-                         std::vector<std::vector<std::uint8_t>>& scratch,
-                         const Timer& clock) {
-  OverlapResult out;
-  if (block_bytes % codec.code().field().symbol_bytes() != 0) {
-    // Refused before any read, as Codec::decode_resilient refuses it.
-    out.resilient.final_scenario = scenario;
-    out.resilient.unrecoverable.assign(scenario.faulty().begin(),
-                                       scenario.faulty().end());
-    return out;
-  }
-  ServeMetrics& metrics = serve_metrics();
-
-  const auto remaining_deadline = [&]() -> std::chrono::nanoseconds {
-    if (options.resilience.deadline.count() <= 0) {
-      return std::chrono::nanoseconds{0};  // no deadline
+  void prefetch(std::span<const std::size_t> inputs) override {
+    for (const std::size_t b : inputs) {
+      if (b < fetch_.size()) start(b);
     }
-    const std::int64_t left =
-        options.resilience.deadline.count() - clock.nanos();
-    // A spent budget must stay a deadline (0 would mean "none"), so the
-    // fallback sees a 1 ns budget and fails fast instead of retrying.
-    return std::chrono::nanoseconds{left > 0 ? left : 1};
-  };
+  }
 
-  // The ladder reads `source` itself, so the fast path's attempts must
-  // have finished first; callers wait for their group solves.
-  const auto fall_back = [&]() -> OverlapResult& {
-    drain(async);
-    out.fallback = true;
-    metrics.fallbacks.add();
-    ResilienceOptions ropts = options.resilience;
-    ropts.deadline = remaining_deadline();
-    out.resilient = codec.decode_resilient(scenario, source, blocks,
-                                           block_bytes, ropts, expected_crc);
-    out.complete = out.resilient.complete;
-    return out;
-  };
+  bool fetch(std::size_t block, const Landed& landed) override {
+    if (block >= fetch_.size()) return false;
+    BlockFetch& f = fetch_[block];
+    start(block);
+    while (!f.arrived && !f.failed) {
+      if (deadline_passed()) {
+        deadline_exceeded = true;
+        f.failed = true;  // a late completion is discarded
+        break;
+      }
+      turn(landed);
+    }
+    return f.arrived;
+  }
 
-  const std::shared_ptr<const CachedPlan> plan = codec.plan_for(scenario);
-  if (plan == nullptr) return fall_back();
-  const hazard::PlanReadiness ready = hazard::plan_readiness(*plan);
+  bool parallel_solves() const override { return true; }
 
-  const std::size_t block_count = source.block_count();
-  const bool has_digests = !expected_crc.empty();
-  std::vector<BlockFetch> fetch(block_count);
-  std::unordered_map<std::uint64_t, Attempt> attempts;
-  std::vector<std::size_t> free_scratch;
+  void solved(std::span<const GroupTiming> groups,
+              std::int64_t rest_start_ns) override {
+    out_->groups.assign(groups.begin(), groups.end());
+    out_->rest_solve_start_ns = rest_start_ns;
+  }
 
-  const auto issue = [&](std::size_t block, bool hedge) {
+ private:
+  /// Read `block` unless it has landed, been given up on, or is in flight.
+  void start(std::size_t block) {
+    const BlockFetch& f = fetch_[block];
+    if (!f.arrived && !f.failed && f.outstanding == 0) issue(block, false);
+  }
+
+  void issue(std::size_t block, bool hedge) {
     std::size_t idx;
-    if (free_scratch.empty()) {
-      idx = scratch.size();
-      scratch.emplace_back(block_bytes);
+    if (free_scratch_.empty()) {
+      idx = scratch_->size();
+      scratch_->emplace_back(block_bytes);
     } else {
-      idx = free_scratch.back();
-      free_scratch.pop_back();
+      idx = free_scratch_.back();
+      free_scratch_.pop_back();
     }
     const std::int64_t now = clock.nanos();
     const std::uint64_t token =
-        async.submit(block, scratch[idx].data(), block_bytes);
-    attempts.emplace(token, Attempt{block, idx, now, hedge});
-    BlockFetch& f = fetch[block];
+        async_->submit(block, (*scratch_)[idx].data(), block_bytes);
+    attempts_.emplace(token, Attempt{block, idx, now, hedge});
+    BlockFetch& f = fetch_[block];
     ++f.outstanding;
     f.last_submit_ns = now;
-    ++out.reads_issued;
+    ++out_->reads_issued;
     if (hedge) {
       ++f.hedges;
-      ++out.hedges_launched;
-      metrics.hedges_launched.add();
-    }
-  };
-
-  // Group dispatch state. Solves run on `pool` when the plan's hazard
-  // proof allows concurrency, else inline in this thread; either way the
-  // latch below orders every group before the rest solve and before
-  // return (pool tasks capture this frame).
-  const std::span<const SubPlan> groups = plan->groups();
-  const std::size_t group_count = groups.size();
-  out.groups.resize(group_count);
-  std::vector<std::size_t> group_remaining(group_count, 0);
-  std::vector<std::vector<std::size_t>> groups_of_block(block_count);
-  for (std::size_t g = 0; g < group_count && g < ready.group_inputs.size();
-       ++g) {
-    const std::vector<std::size_t>& inputs = ready.group_inputs[g];
-    group_remaining[g] = inputs.size();
-    for (const std::size_t b : inputs) {
-      if (b < block_count) groups_of_block[b].push_back(g);
+      ++out_->hedges_launched;
+      serve_metrics().hedges_launched.add();
     }
   }
 
-  const bool parallel_solves =
-      plan->profile().hazard_free && group_count > 1;
-
-  std::mutex latch_mutex;
-  std::condition_variable latch_cv;
-  std::size_t groups_done = 0;
-  std::size_t groups_dispatched = 0;
-
-  const auto run_group = [&](std::size_t g) {
-    const std::int64_t start = clock.nanos();
-    DecodeStats stats{};
-    groups[g].execute(blocks, block_bytes, &stats);
-    const std::int64_t end = clock.nanos();
-    {
-      const std::lock_guard<std::mutex> lock(latch_mutex);
-      out.groups[g].solve_start_ns = start;
-      out.groups[g].solve_end_ns = end;
-      out.stats.mult_xors += stats.mult_xors;
-      out.stats.bytes_touched += stats.bytes_touched;
-      out.stats.blocks_read += stats.blocks_read;
-      ++groups_done;
-      // Notify under the lock: the moment wait_groups() can observe the
-      // final count it may return and this frame (latch_cv included) may
-      // be torn down, so the signal must be fully delivered before the
-      // mutex is released.
-      latch_cv.notify_one();
+  /// One event-loop turn: drain completions, land each block's first clean
+  /// arrival, resubmit failures, hedge stragglers.
+  void turn(const Landed& landed) {
+    ServeMetrics& metrics = serve_metrics();
+    completions_.clear();
+    async_->poll(completions_, kPollInterval);
+    for (const ReadCompletion& c : completions_) {
+      const auto it = attempts_.find(c.token);
+      if (it == attempts_.end()) continue;  // not ours (cannot happen)
+      const Attempt attempt = it->second;
+      attempts_.erase(it);
+      BlockFetch& f = fetch_[attempt.block];
+      --f.outstanding;
+      const std::int64_t now = clock.nanos();
+      observed_.record_nanos(
+          static_cast<std::uint64_t>(now - attempt.submit_ns));
+      free_scratch_.push_back(attempt.scratch);
+      if (f.arrived) {
+        // A duplicate of a block that already landed — hedging's waste.
+        ++out_->hedges_wasted;
+        metrics.hedges_wasted.add();
+        continue;
+      }
+      if (f.failed) continue;  // given up on at the deadline
+      const std::uint8_t* bytes = (*scratch_)[attempt.scratch].data();
+      if (c.status == io::ReadStatus::kOk && verified(attempt.block, bytes)) {
+        std::memcpy(blocks[attempt.block], bytes, block_bytes);
+        f.arrived = true;
+        out_->last_read_complete_ns = now;
+        if (attempt.hedge) {
+          ++out_->hedges_won;
+          metrics.hedges_won.add();
+        }
+        landed(attempt.block);
+      } else {
+        ++out_->read_failures;
+        if (++f.failures <= options.max_read_retries) {
+          ++retries;
+          issue(attempt.block, false);  // immediate resubmit — no sleeps
+        } else if (f.outstanding == 0) {
+          f.failed = true;  // budget gone and nothing left in flight
+        }
+      }
     }
-  };
-
-  const auto dispatch_group = [&](std::size_t g) {
-    out.groups[g].inputs_ready_ns = clock.nanos();
-    ++groups_dispatched;
-    if (parallel_solves &&
-        ThreadPool::shared().try_submit([&run_group, g] { run_group(g); })) {
-      return;
+    if (!hedge_) return;
+    const std::int64_t threshold = hedge_threshold_ns();
+    if (threshold == kNever) return;
+    const std::int64_t now = clock.nanos();
+    for (std::size_t b = 0; b < fetch_.size(); ++b) {
+      const BlockFetch& f = fetch_[b];
+      if (f.arrived || f.failed || f.outstanding == 0) continue;
+      if (f.hedges >= kMaxHedgesPerRead) continue;
+      if (now - f.last_submit_ns > threshold) issue(b, true);
     }
-    run_group(g);
-  };
-
-  const auto wait_groups = [&]() {
-    std::unique_lock<std::mutex> lock(latch_mutex);
-    latch_cv.wait(lock,
-                  [&] { return groups_done == groups_dispatched; });
-  };
-
-  // Submit every survivor read up front; groups with no pending inputs
-  // (possible only in degenerate plans) dispatch immediately.
-  std::size_t needed = 0;
-  for (const std::size_t b : ready.all_inputs) {
-    if (b >= block_count) {  // malformed plan — let the ladder classify it
-      wait_groups();
-      return fall_back();
-    }
-    fetch[b].needed = true;
-    ++needed;
   }
-  for (std::size_t g = 0; g < group_count; ++g) {
-    if (group_remaining[g] == 0) dispatch_group(g);
-  }
-  for (const std::size_t b : ready.all_inputs) issue(b, false);
 
-  // Hedge threshold from the latencies this decode has observed (the
-  // process-global histogram would leak cross-request state into the
-  // policy, so the estimator is local).
-  LatencyHistogram observed;
-  const auto hedge_threshold_ns = [&]() -> std::int64_t {
+  /// Hedge threshold from the latencies this decode has observed (the
+  /// process-global histogram would leak cross-request state into the
+  /// policy, so the estimator is local).
+  std::int64_t hedge_threshold_ns() const {
     std::int64_t by_quantile = kNever;
-    if (observed.count() >= kMinSamples) {
+    if (observed_.count() >= kMinSamples) {
       by_quantile = static_cast<std::int64_t>(
-          observed.quantile_seconds(kHedgeQuantile) * 1e9);
+          observed_.quantile_seconds(kHedgeQuantile) * 1e9);
     }
     std::int64_t by_deadline = kNever;
-    if (options.resilience.deadline.count() > 0) {
+    if (options.deadline.count() > 0) {
       by_deadline = static_cast<std::int64_t>(
-          kDeadlineFraction *
-          static_cast<double>(options.resilience.deadline.count()));
+          kDeadlineFraction * static_cast<double>(options.deadline.count()));
     }
     const std::int64_t threshold = std::min(by_quantile, by_deadline);
     if (threshold == kNever) return kNever;
     return std::max(threshold, kMinHedgeDelayNs);
-  };
-
-  const auto deadline_passed = [&]() {
-    return options.resilience.deadline.count() > 0 &&
-           clock.nanos() >= options.resilience.deadline.count();
-  };
-
-  // Event loop: drain completions, copy each block's first clean arrival
-  // into the caller's buffer, dispatch group solves as readiness sets
-  // fill, resubmit failures, hedge stragglers.
-  std::size_t arrived = 0;
-  bool fetch_failed = false;
-  std::vector<ReadCompletion> completions;
-  while (arrived < needed && !fetch_failed && !deadline_passed()) {
-    completions.clear();
-    async.poll(completions, kPollInterval);
-    for (const ReadCompletion& c : completions) {
-      const auto it = attempts.find(c.token);
-      if (it == attempts.end()) continue;  // not ours (cannot happen)
-      const Attempt attempt = it->second;
-      attempts.erase(it);
-      BlockFetch& f = fetch[attempt.block];
-      --f.outstanding;
-      const std::int64_t now = clock.nanos();
-      observed.record_nanos(
-          static_cast<std::uint64_t>(now - attempt.submit_ns));
-      if (f.arrived) {
-        // A duplicate of a block that already landed — hedging's waste.
-        ++out.hedges_wasted;
-        metrics.hedges_wasted.add();
-        free_scratch.push_back(attempt.scratch);
-        continue;
-      }
-      bool ok = c.status == io::ReadStatus::kOk;
-      if (ok && has_digests && attempt.block < expected_crc.size() &&
-          crc32(scratch[attempt.scratch].data(), block_bytes) !=
-              expected_crc[attempt.block]) {
-        ok = false;  // a read that lied counts as a failed read
-      }
-      if (ok) {
-        std::memcpy(blocks[attempt.block], scratch[attempt.scratch].data(),
-                    block_bytes);
-        f.arrived = true;
-        ++arrived;
-        out.last_read_complete_ns = now;
-        if (attempt.hedge) {
-          ++out.hedges_won;
-          metrics.hedges_won.add();
-        }
-        for (const std::size_t g : groups_of_block[attempt.block]) {
-          if (--group_remaining[g] == 0) dispatch_group(g);
-        }
-      } else {
-        ++out.read_failures;
-        ++f.failures;
-        if (f.failures <= options.resilience.max_read_retries) {
-          issue(attempt.block, false);  // immediate resubmit — no sleeps
-        } else if (f.outstanding == 0) {
-          fetch_failed = true;  // budget gone and nothing left in flight
-        }
-      }
-      free_scratch.push_back(attempt.scratch);
-    }
-    if (options.hedge.enabled && arrived < needed && !fetch_failed) {
-      const std::int64_t threshold = hedge_threshold_ns();
-      if (threshold != kNever) {
-        const std::int64_t now = clock.nanos();
-        for (const std::size_t b : ready.all_inputs) {
-          BlockFetch& f = fetch[b];
-          if (f.arrived || f.outstanding == 0) continue;
-          if (f.hedges >= kMaxHedgesPerRead) continue;
-          if (now - f.last_submit_ns > threshold) issue(b, true);
-        }
-      }
-    }
   }
 
-  if (arrived < needed) {  // fetch failure or deadline — degrade
-    wait_groups();
-    return fall_back();
-  }
-
-  wait_groups();
-  if (plan->rest().has_value()) {
-    out.rest_solve_start_ns = clock.nanos();
-    plan->rest()->execute(blocks, block_bytes, &out.stats);
-  }
-
-  // VERIFY rung: recovered blocks must match their digests; a mismatch
-  // is handed to the ladder, which re-reads and classifies corruption.
-  if (has_digests) {
-    for (const std::size_t b : scenario.faulty()) {
-      if (b < expected_crc.size() &&
-          crc32(blocks[b], block_bytes) != expected_crc[b]) {
-        return fall_back();
-      }
-    }
-  }
-
-  for (const GroupTiming& g : out.groups) {
-    if (g.solve_start_ns < 0) continue;
-    if (out.first_solve_start_ns < 0 ||
-        g.solve_start_ns < out.first_solve_start_ns) {
-      out.first_solve_start_ns = g.solve_start_ns;
-    }
-    if (g.solve_start_ns < out.last_read_complete_ns) {
-      out.overlapped = true;
-      metrics.group_solves_early.add();
-    }
-  }
-  if (out.last_read_complete_ns >= 0) {
-    metrics.fetch_seconds.record_nanos(
-        static_cast<std::uint64_t>(out.last_read_complete_ns));
-  }
-  if (out.first_solve_start_ns >= 0) {
-    std::int64_t solve_end = out.first_solve_start_ns;
-    for (const GroupTiming& g : out.groups) {
-      solve_end = std::max(solve_end, g.solve_end_ns);
-    }
-    metrics.solve_seconds.record_nanos(static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, solve_end - out.first_solve_start_ns)));
-  }
-  out.complete = true;
-  metrics.overlapped_decodes.add();
-  return out;  // late hedge losers may still be in flight
-}
+  ThreadedAsyncSource* async_;
+  std::vector<std::vector<std::uint8_t>>* scratch_;
+  bool hedge_;
+  OverlapResult* out_;
+  std::vector<BlockFetch> fetch_;
+  std::unordered_map<std::uint64_t, Attempt> attempts_;
+  std::vector<std::size_t> free_scratch_;
+  std::vector<ReadCompletion> completions_;
+  LatencyHistogram observed_;
+};
 
 }  // namespace
 
@@ -379,7 +224,11 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   OverlapResult out =
       decode_overlapped(codec, scenario, source, blocks, block_bytes, options,
                         expected_crc, reactor, tail);
-  drain(*tail.session);
+  std::vector<ReadCompletion> sink;  // wait out the tail
+  while (tail.session->in_flight() > 0) {
+    sink.clear();
+    tail.session->poll(sink, std::chrono::milliseconds{5});
+  }
   out.total_ns = tail.clock.nanos();
   return out;
 }
@@ -393,11 +242,40 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
                                 Reactor& reactor, OverlapTail& tail) {
   tail.clock.reset();
   tail.session = std::make_unique<ThreadedAsyncSource>(reactor, source);
-  OverlapResult out =
-      run_decode(codec, scenario, source, blocks, block_bytes, options,
-                 expected_crc, *tail.session, tail.scratch, tail.clock);
+  OverlapResult out;
+  HedgedStage stage(tail, blocks, block_bytes, options, expected_crc, out);
+  out.resilient = codec.decode_ladder(scenario, stage);
+  out.complete = out.resilient.complete;
+  out.fallback = out.resilient.escalations > 0 || out.resilient.degraded;
+
+  ServeMetrics& metrics = serve_metrics();
+  if (out.fallback) metrics.fallbacks.add();
+  if (!out.fallback && out.complete) {
+    std::int64_t solve_end = -1;
+    for (const GroupTiming& g : out.groups) {
+      if (g.solve_start_ns < 0) continue;
+      if (out.first_solve_start_ns < 0 ||
+          g.solve_start_ns < out.first_solve_start_ns) {
+        out.first_solve_start_ns = g.solve_start_ns;
+      }
+      solve_end = std::max(solve_end, g.solve_end_ns);
+      if (g.solve_start_ns < out.last_read_complete_ns) {
+        out.overlapped = true;
+        metrics.group_solves_early.add();
+      }
+    }
+    if (out.last_read_complete_ns >= 0) {
+      metrics.fetch_seconds.record_nanos(
+          static_cast<std::uint64_t>(out.last_read_complete_ns));
+    }
+    if (out.first_solve_start_ns >= 0) {
+      metrics.solve_seconds.record_nanos(
+          static_cast<std::uint64_t>(solve_end - out.first_solve_start_ns));
+    }
+    metrics.overlapped_decodes.add();
+  }
   out.total_ns = tail.clock.nanos();  // so far; the caller stamps the drain
-  return out;
+  return out;  // late hedge losers may still be in flight
 }
 
 }  // namespace ppm::serve

@@ -2,13 +2,14 @@
 //
 // PPM's partition proves the p independent O1 groups mutually
 // race-free, and hazard::plan_readiness derives exactly which source
-// blocks each group needs. decode_overlapped() exploits both: every
-// survivor read is submitted concurrently through a ThreadedAsyncSource,
-// and each group's solve is dispatched the moment the last of its inputs
-// lands — long before the stripe's slowest read completes. The rest-rows
-// solve (which may read group-recovered blocks) stays gated on every
-// group finishing and on full survivor arrival, matching the plan's
-// hazard-DAG edges.
+// blocks each group needs. decode_overlapped() runs the codec's recovery
+// ladder (Codec::decode_ladder, codec/resilient.h) with a hedged fetch
+// stage: every survivor read of a round is submitted concurrently through
+// a ThreadedAsyncSource, and the ladder dispatches each group's solve the
+// moment the last of its inputs lands — long before the stripe's slowest
+// read completes. The rest-rows solve (which may read group-recovered
+// blocks) stays gated on every group finishing and on full survivor
+// arrival, matching the plan's hazard-DAG edges.
 //
 // Straggler mitigation is hedging, not just deadlines: once an
 // outstanding read's age exceeds the observed read-latency p95 (or a
@@ -19,14 +20,10 @@
 // Per-attempt scratch buffers are what make the race benign — no two
 // in-flight attempts ever share a destination.
 //
-// The fast path never sleeps and never retries with backoff; a read that
-// fails (or fails its CRC) is resubmitted immediately up to the
-// resilience retry budget. Anything the fast path cannot finish —
-// unplannable scenario, exhausted retries, deadline, corrupt recovery —
-// falls back to the serial Codec::decode_resilient ladder (RETRY →
-// ESCALATE → DEGRADE → VERIFY) on the same source with the remaining
-// deadline, so the overlap layer adds latency upside without weakening
-// PR 5's recovery semantics.
+// A read that fails (or fails its CRC) is resubmitted at once, without
+// backoff, within the retry budget decode_resilient gives each survivor.
+// A survivor that spends it is escalated in place, as decode_resilient
+// escalates it: the round re-plans and keeps every read that landed.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +50,7 @@ struct HedgePolicy {
 
 struct OverlapOptions {
   HedgePolicy hedge;
-  /// Retry budget, deadline and (for the fallback ladder) backoff.
+  /// Retry budget and deadline; the hedged stage ignores the backoff.
   ResilienceOptions resilience;
   /// Reactor threads per decode: a standalone decode_overlapped builds a
   /// private Reactor of this many; a DecodeServer's shared one has
@@ -62,22 +59,18 @@ struct OverlapOptions {
 };
 
 /// Stage timestamps of one group's solve, in nanoseconds since the
-/// decode started. -1 = never reached.
-struct GroupTiming {
-  std::int64_t inputs_ready_ns = -1;
-  std::int64_t solve_start_ns = -1;
-  std::int64_t solve_end_ns = -1;
-};
+/// decode started.
+using ppm::GroupTiming;
 
 struct OverlapResult {
-  bool complete = false;  ///< all faulty blocks recovered (and CRC-clean)
-  /// Fast path abandoned; `resilient` holds the ladder's full report.
+  bool complete = false;  ///< resilient.complete
+  /// The ladder escalated a survivor or degraded to partial recovery.
   bool fallback = false;
-  ResilientResult resilient;
+  ResilientResult resilient;  ///< the ladder's report
 
   /// True when at least one group solve started before the last needed
   /// survivor read completed — the fetch/compute overlap actually
-  /// happened (meaningless on the fallback path).
+  /// happened. Set, like first_solve_start_ns, only without a fallback.
   bool overlapped = false;
 
   std::size_t hedges_launched = 0;
@@ -99,20 +92,19 @@ struct OverlapResult {
   /// tail before it returns; a DecodeServer hands the tail off and stamps
   /// total_ns when it drains, so its dispatcher moves on meanwhile.
   std::int64_t total_ns = 0;
-  std::vector<GroupTiming> groups;
-
-  DecodeStats stats;
+  std::vector<GroupTiming> groups;  ///< the final full-plan round's solves
 };
 
 /// Decode one stripe with concurrent, hedged survivor fetch and
-/// readiness-overlapped group solves. `source` is read through a private
-/// reactor and by the fallback ladder. Group solves run on
-/// ThreadPool::shared() when the plan's profile is hazard_free with >= 2
-/// groups, otherwise in the event-loop thread (still overlapping fetch,
-/// just not each other). `blocks`/`block_bytes` and `expected_crc` follow
-/// Codec::decode_resilient's contract, which includes refusing a
-/// `block_bytes` that splits a symbol before any read. Returns only after
-/// every read it issued has finished.
+/// readiness-overlapped group solves. `source` is read only through a
+/// private reactor. Group solves run on ThreadPool::shared() when the
+/// plan's profile is hazard_free with >= 2 groups, otherwise in the
+/// event-loop thread (still overlapping fetch, just not each other).
+/// `blocks`/`block_bytes` and `expected_crc` follow
+/// Codec::decode_resilient's contract, which includes ignoring a digest
+/// span without one CRC per block and refusing a `block_bytes` that
+/// splits a symbol before any read. Returns only after every read it
+/// issued has finished.
 OverlapResult decode_overlapped(
     Codec& codec, const FailureScenario& scenario, io::BlockSource& source,
     std::uint8_t* const* blocks, std::size_t block_bytes,
@@ -129,9 +121,9 @@ struct OverlapTail {
 };
 
 /// The served form of decode_overlapped: reads run on a new session of
-/// `reactor`, which `tail` receives. Returns as soon as the faulty blocks
-/// are recovered and CRC-verified (or the fallback ladder has finished),
-/// with the attempts it no longer needs still in flight. `blocks` are
+/// `reactor`, which `tail` receives. Returns as soon as the ladder has
+/// finished — the faulty blocks recovered and CRC-verified, or classified
+/// — with the attempts it no longer needs still in flight. `blocks` are
 /// final then, but `source` must stay valid, and `tail` must be kept,
 /// until the session drains (ThreadedAsyncSource::detach); total_ns is
 /// the caller's to stamp at that point.

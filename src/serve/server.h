@@ -1,7 +1,8 @@
 // Decode-serving front end: bounded queue, admission control, plan-shared
 // batching (ppm::serve).
 //
-// DecodeServer is the request-facing layer over decode_overlapped. Its
+// DecodeServer is the request-facing layer over decode_overlapped, which
+// runs the codec's recovery ladder with hedged concurrent reads. Its
 // contract (docs/SERVING.md):
 //
 //  * Admission — submit() enqueues when the queue is below
@@ -19,15 +20,15 @@
 //    overlap.reactor_threads threads for its lifetime; each decode runs
 //    its survivor reads on its own session of it, so no request starts
 //    threads.
-//  * Completion — once a decode's faulty blocks are recovered and
-//    verified, its dispatcher hands the reads still in flight (hedge
-//    losers, stragglers a hedge beat) off to the server and moves on to
-//    the next request. The future resolves when that request's own last
-//    read lands, on the reactor worker that finished it, never behind
-//    another request's tail. Every admitted future is eventually
-//    fulfilled, including on shutdown (the queue and every tail drain
-//    first). Futures carry the full OverlapResult, fallback ladder report
-//    included.
+//  * Completion — once a decode's ladder has finished (faulty blocks
+//    recovered and verified, or classified), its dispatcher hands the
+//    reads still in flight (hedge losers, stragglers a hedge beat) off
+//    to the server and moves on to the next request. The future resolves
+//    when that request's own last read lands, on the reactor worker that
+//    finished it, never behind another request's tail. Every admitted
+//    future is eventually fulfilled, including on shutdown (the queue and
+//    every tail drain first). Futures carry the full OverlapResult, the
+//    recovery ladder's report included.
 //
 // Buffers, the block source and the expected-CRC span named in a request
 // are caller-owned and must stay valid until its future resolves.
