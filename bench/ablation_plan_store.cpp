@@ -27,36 +27,6 @@ using namespace ppm;
 
 namespace {
 
-// Every combination of 1..max_disks whole-disk failures.
-std::vector<FailureScenario> disk_sweep(const ErasureCode& code,
-                                        std::size_t max_disks) {
-  std::vector<FailureScenario> out;
-  std::vector<std::size_t> combo;
-  const auto emit = [&] {
-    std::vector<std::size_t> faulty;
-    for (const std::size_t d : combo) {
-      for (std::size_t row = 0; row < code.rows(); ++row) {
-        faulty.push_back(code.block_id(row, d));
-      }
-    }
-    out.emplace_back(faulty);
-  };
-  const auto recurse = [&](auto&& self, std::size_t next,
-                           std::size_t remaining) -> void {
-    if (remaining == 0) {
-      emit();
-      return;
-    }
-    for (std::size_t d = next; d + remaining <= code.disks(); ++d) {
-      combo.push_back(d);
-      self(self, d + 1, remaining - 1);
-      combo.pop_back();
-    }
-  };
-  for (std::size_t k = 1; k <= max_disks; ++k) recurse(recurse, 0, k);
-  return out;
-}
-
 // Time-to-first-plan for every scenario on a cold codec; returns total
 // seconds (the restart's planning bill).
 double first_plan_total(Codec& codec,
@@ -76,7 +46,7 @@ int main() {
   const std::size_t r = 16;
   const unsigned w = SDCode::recommended_width(n, r);
   const SDCode code(n, r, 2, 2, w);
-  const auto sweep = disk_sweep(code, 2);
+  const auto sweep = campaign::disk_sweep(code, 2);
   const std::size_t reps = bench::reps();
 
   const std::filesystem::path dir =

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "codec/codec.h"
-#include "common/crc32.h"
 #include "io/block_source.h"
 
 #include "bench_common.h"
@@ -41,12 +40,8 @@ int main() {
     if (!trad.encode(stripe.block_ptrs(), block)) return 1;
     const auto snap = stripe.snapshot();
     const std::size_t total = code.total_blocks();
-    std::vector<const std::uint8_t*> backing(total);
-    std::vector<std::uint32_t> digests(total);
-    for (std::size_t b = 0; b < total; ++b) {
-      backing[b] = snap.data() + b * block;
-      digests[b] = crc32(backing[b], block);
-    }
+    const auto backing = campaign::snapshot_ptrs(snap, total, block);
+    const auto digests = campaign::digests_of(snap, total, block);
 
     // Warm the plan cache so every variant measures execution, not
     // planning.

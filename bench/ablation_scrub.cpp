@@ -27,46 +27,19 @@ using namespace ppm;
 
 namespace {
 
-struct FleetMember {
-  std::unique_ptr<Stripe> storage;
-  std::unique_ptr<Stripe> scratch;
-  std::vector<std::uint32_t> digests;
-  std::unique_ptr<io::MemoryBlockStore> store;
-  std::unique_ptr<io::FaultInjectingSource> seam;
-};
-
-std::vector<FleetMember> build_fleet(const ErasureCode& code,
-                                     std::size_t stripes, std::size_t block,
-                                     std::uint64_t seed) {
-  const TraditionalDecoder trad(code);
+campaign::Fleet build_fleet(const ErasureCode& code, std::size_t stripes,
+                            std::size_t block, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<FleetMember> fleet(stripes);
-  const std::size_t total = code.total_blocks();
-  for (FleetMember& m : fleet) {
-    m.storage = std::make_unique<Stripe>(code, block);
-    m.storage->fill_data(rng);
-    if (!trad.encode(m.storage->block_ptrs(), block)) std::exit(1);
-    m.digests.resize(total);
-    for (std::size_t b = 0; b < total; ++b) {
-      m.digests[b] = crc32(m.storage->block(b), block);
-    }
-    m.scratch = std::make_unique<Stripe>(code, block);
-    m.store = std::make_unique<io::MemoryBlockStore>(m.storage->block_ptrs(),
-                                                     total, block);
-    m.seam = std::make_unique<io::FaultInjectingSource>(*m.store, *m.store);
+  campaign::Fleet fleet(stripes);
+  for (auto& m : fleet) {
+    m = std::make_unique<campaign::PatrolledStripe>(code, block, rng);
   }
   return fleet;
 }
 
-void add_fleet(scrub::Scrubber& scrubber, std::vector<FleetMember>& fleet) {
+void add_fleet(scrub::Scrubber& scrubber, campaign::Fleet& fleet) {
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    scrub::ScrubTarget target;
-    target.source = fleet[i].seam.get();
-    target.writer = fleet[i].seam.get();
-    target.blocks = fleet[i].scratch->block_ptrs();
-    target.expected_crc = fleet[i].digests;
-    target.stripe_id = "bench-" + std::to_string(i);
-    scrubber.add_target(std::move(target));
+    scrubber.add_target(fleet[i]->target("bench-" + std::to_string(i)));
   }
 }
 
@@ -108,7 +81,7 @@ int main() {
       rot.corrupt = true;
       rot.corrupt_offset = (i * 7) % block;
       rot.corrupt_bytes = 8;
-      fleet[i].seam->set_fault(i % code.total_blocks(), rot);
+      fleet[i]->seam->set_fault(i % code.total_blocks(), rot);
     }
     Codec codec(code);
     scrub::ScrubOptions options;
@@ -140,10 +113,7 @@ int main() {
   if (!trad.encode(fg.block_ptrs(), block)) return 1;
   const auto snap = fg.snapshot();
   const std::size_t total = code.total_blocks();
-  std::vector<const std::uint8_t*> backing(total);
-  for (std::size_t b = 0; b < total; ++b) {
-    backing[b] = snap.data() + b * block;
-  }
+  const auto backing = campaign::snapshot_ptrs(snap, total, block);
   const FailureScenario erased({1, 4, 7});
   const std::size_t reps = bench::reps() * 24;
 

@@ -20,6 +20,7 @@
 
 #include "analysis/closed_form.h"
 #include "analyze_hazard/hazard.h"
+#include "campaign/campaign.h"
 #include "codec/codec.h"
 #include "codec/resilient.h"
 #include "codec/update.h"

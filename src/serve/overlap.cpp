@@ -33,7 +33,7 @@ struct BlockFetch {
   bool arrived = false;  ///< landed in the caller's buffer
   bool failed = false;   ///< given up on
   std::size_t outstanding = 0;  ///< attempts in flight
-  std::size_t failures = 0;     ///< failed/corrupt completions consumed
+  std::size_t attempts = 0;     ///< issued: primary, resubmissions, hedges
   std::size_t hedges = 0;       ///< duplicate reads issued
   std::int64_t last_submit_ns = 0;
 };
@@ -49,9 +49,11 @@ struct Attempt {
 /// The hedged stage: a round's reads all in flight at once on one
 /// session, each into its own scratch buffer. The first clean completion
 /// of a block is copied into the caller's buffer; a failed or corrupt one
-/// is resubmitted at once, without backoff, until the retry budget is
-/// spent; an outstanding read older than the hedge threshold gets a
-/// duplicate. The event loop runs only inside fetch().
+/// is resubmitted at once, without backoff; an outstanding read older than
+/// the hedge threshold gets a duplicate. Every attempt a block gets counts
+/// against its 1 + max_read_retries budget, so a block is given up on
+/// exactly when decode_resilient would give up on it. The event loop runs
+/// only inside fetch().
 class HedgedStage final : public FetchStage {
  public:
   HedgedStage(OverlapTail& tail, std::uint8_t* const* blocks,
@@ -62,6 +64,7 @@ class HedgedStage final : public FetchStage {
         async_(tail.session.get()),
         scratch_(&tail.scratch),
         hedge_(options.hedge.enabled),
+        budget_(1 + options.resilience.max_read_retries),
         out_(&out),
         fetch_(async_->block_count()) {}
 
@@ -116,6 +119,7 @@ class HedgedStage final : public FetchStage {
     attempts_.emplace(token, Attempt{block, idx, now, hedge});
     BlockFetch& f = fetch_[block];
     ++f.outstanding;
+    ++f.attempts;
     f.last_submit_ns = now;
     ++out_->reads_issued;
     if (hedge) {
@@ -161,7 +165,7 @@ class HedgedStage final : public FetchStage {
         landed(attempt.block);
       } else {
         ++out_->read_failures;
-        if (++f.failures <= options.max_read_retries) {
+        if (f.attempts < budget_) {
           ++retries;
           issue(attempt.block, false);  // immediate resubmit — no sleeps
         } else if (f.outstanding == 0) {
@@ -176,7 +180,7 @@ class HedgedStage final : public FetchStage {
     for (std::size_t b = 0; b < fetch_.size(); ++b) {
       const BlockFetch& f = fetch_[b];
       if (f.arrived || f.failed || f.outstanding == 0) continue;
-      if (f.hedges >= kMaxHedgesPerRead) continue;
+      if (f.hedges >= kMaxHedgesPerRead || f.attempts >= budget_) continue;
       if (now - f.last_submit_ns > threshold) issue(b, true);
     }
   }
@@ -203,6 +207,7 @@ class HedgedStage final : public FetchStage {
   ThreadedAsyncSource* async_;
   std::vector<std::vector<std::uint8_t>>* scratch_;
   bool hedge_;
+  std::size_t budget_;  ///< attempts per block
   OverlapResult* out_;
   std::vector<BlockFetch> fetch_;
   std::unordered_map<std::uint64_t, Attempt> attempts_;

@@ -21,9 +21,10 @@
 // in-flight attempts ever share a destination.
 //
 // A read that fails (or fails its CRC) is resubmitted at once, without
-// backoff, within the retry budget decode_resilient gives each survivor.
-// A survivor that spends it is escalated in place, as decode_resilient
-// escalates it: the round re-plans and keeps every read that landed.
+// backoff, within the 1 + max_read_retries attempts decode_resilient
+// gives each survivor; a hedge is one of those attempts. A survivor that
+// spends them is escalated in place, as decode_resilient escalates it:
+// the round re-plans and keeps every read that landed.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +43,8 @@ namespace ppm::serve {
 /// Whether to duplicate outstanding reads. The hedge threshold is
 /// max(50 µs, min(observed read-latency p95, deadline / 4)), with the p95
 /// trusted from the 4th completed read on; with no basis yet and no
-/// deadline no hedge fires. A block is hedged at most twice per decode.
+/// deadline no hedge fires. A block is hedged at most twice per decode,
+/// and only while it has attempts left in its retry budget.
 /// Those constants live in overlap.cpp (docs/SERVING.md §2).
 struct HedgePolicy {
   bool enabled = true;

@@ -6,11 +6,11 @@
 #include <cstring>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "codec/codec.h"
 #include "codes/lrc_code.h"
 #include "codes/rs_code.h"
 #include "codes/sd_code.h"
-#include "common/crc32.h"
 #include "common/timer.h"
 #include "io/block_source.h"
 #include "io/fault_injection.h"
@@ -23,22 +23,8 @@ using io::FaultInjectingSource;
 using io::FaultSpec;
 using io::MemoryBlockSource;
 
-std::vector<const std::uint8_t*> snapshot_ptrs(
-    const std::vector<std::uint8_t>& snap, std::size_t blocks,
-    std::size_t bytes) {
-  std::vector<const std::uint8_t*> ptrs(blocks);
-  for (std::size_t i = 0; i < blocks; ++i) ptrs[i] = snap.data() + i * bytes;
-  return ptrs;
-}
-
-std::vector<std::uint32_t> digests_of(const std::vector<std::uint8_t>& snap,
-                                      std::size_t blocks, std::size_t bytes) {
-  std::vector<std::uint32_t> crc(blocks);
-  for (std::size_t i = 0; i < blocks; ++i) {
-    crc[i] = crc32(snap.data() + i * bytes, bytes);
-  }
-  return crc;
-}
+using campaign::digests_of;
+using campaign::snapshot_ptrs;
 
 // ---- backoff math (pure; satellite: exponential backoff) ---------------
 

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "codec/codec.h"
 #include "codes/rs_code.h"
 #include "codes/sd_code.h"
@@ -24,7 +25,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "decode/scenario.h"
-#include "decode/traditional_decoder.h"
 #include "io/block_source.h"
 #include "io/fault_injection.h"
 #include "scrub/journal.h"
@@ -49,42 +49,12 @@ using test::TempDir;
 
 // One stripe of "storage" behind the read/write fault seam the scrubber
 // patrols through, plus the decode scratch and reference digests a
-// ScrubTarget needs.
-struct TestStripe {
+// ScrubTarget needs, filled from its own seed.
+struct TestStripe : campaign::PatrolledStripe {
   TestStripe(const ErasureCode& code, std::size_t bytes, std::uint64_t seed)
-      : storage(code, bytes), scratch(code, bytes) {
-    Rng rng(seed);
-    storage.fill_data(rng);
-    const TraditionalDecoder trad(code);
-    if (!trad.encode(storage.block_ptrs(), bytes)) {
-      throw std::runtime_error("reference encode failed");
-    }
-    snap = storage.snapshot();
-    digests.resize(code.total_blocks());
-    for (std::size_t b = 0; b < code.total_blocks(); ++b) {
-      digests[b] = crc32(storage.block(b), bytes);
-    }
-    store = std::make_unique<MemoryBlockStore>(storage.block_ptrs(),
-                                               code.total_blocks(), bytes);
-    seam = std::make_unique<FaultInjectingSource>(*store, *store);
-  }
-
-  scrub::ScrubTarget target(const std::string& id) {
-    scrub::ScrubTarget t;
-    t.source = seam.get();
-    t.writer = seam.get();
-    t.blocks = scratch.block_ptrs();
-    t.expected_crc = digests;
-    t.stripe_id = id;
-    return t;
-  }
-
-  Stripe storage;
-  Stripe scratch;
-  std::vector<std::uint8_t> snap;
-  std::vector<std::uint32_t> digests;
-  std::unique_ptr<MemoryBlockStore> store;
-  std::unique_ptr<FaultInjectingSource> seam;
+      : TestStripe(code, bytes, Rng(seed)) {}
+  TestStripe(const ErasureCode& code, std::size_t bytes, Rng fill)
+      : PatrolledStripe(code, bytes, fill) {}
 };
 
 FaultSpec corrupt_spec(std::size_t offset = 0, std::size_t bytes = 8) {
@@ -677,48 +647,22 @@ TEST(Scrub, WritebackFailureIsCountedAndNotCommittedAsRepaired) {
 // ---- Crash consistency & zero-trust replay --------------------------------
 
 TEST(Scrub, CrashBetweenIntentAndCommitLeavesActionableEvidence) {
+  // The drill `ppm_cli scrub --drill 1` runs: a repair crashes between
+  // journal intent and commit and leaves block 1's corruption in place;
+  // after a restart, replay surfaces exactly that damage and the pending
+  // intent with no false claim, and the next cycle heals it.
   const RSCode code(6, 3, 8);
-  Codec codec(code);
-  TestStripe stripe(code, 512, 13);
-  stripe.seam->set_fault(1, corrupt_spec());
-
   TempDir dir("crash_drill");
-  {
-    scrub::ScrubOptions options;
-    options.crash_after_intents = 1;
-    scrub::RepairJournal journal(dir.path());
-    scrub::Scrubber crasher(codec, options, &journal);
-    crasher.add_target(stripe.target("s"));
-    const scrub::CycleReport cycle = crasher.run_cycle();
-    EXPECT_TRUE(cycle.repair.crashed_for_test);
-    EXPECT_EQ(cycle.repair.completed, 0u);
-    // The seam still corrupts reads of block 1: the crash left the damage
-    // unhealed (the fault lives in the read path, not the storage bytes).
-    std::vector<std::uint8_t> buf(512);
-    ASSERT_EQ(stripe.seam->read(1, buf.data(), buf.size()), ReadStatus::kOk);
-    EXPECT_NE(crc32(buf.data(), buf.size()), stripe.digests[1]);
-  }
-
-  // Restart: fresh journal + scrubber over the same fleet.
-  scrub::RepairJournal journal(dir.path());
-  scrub::Scrubber scrubber(codec, scrub::ScrubOptions{}, &journal);
-  scrubber.add_target(stripe.target("s"));
-
-  const scrub::ReplayReport replay = scrubber.replay();
-  EXPECT_EQ(replay.pending_intents, 1u);
-  EXPECT_EQ(replay.false_claims, 0u);
-  ASSERT_EQ(replay.outstanding.size(), 1u);
-  EXPECT_EQ(replay.outstanding[0],
-            (std::pair<std::size_t, std::size_t>{0, 1}));
-
-  // The next cycle heals the crash's leftover damage.
-  const scrub::CycleReport cycle = scrubber.run_cycle();
-  EXPECT_EQ(cycle.repair.completed, 1u);
-  EXPECT_TRUE(stripe.storage.equals(stripe.snap));
-  const scrub::ReplayReport after = scrubber.replay();
-  EXPECT_GE(after.verified_commits, 1u);
-  EXPECT_EQ(after.false_claims, 0u);
-  EXPECT_TRUE(after.outstanding.empty());
+  campaign::ScrubOptions options;
+  options.block_bytes = 512;
+  options.stripes = 1;
+  options.seed = 13;
+  options.journal_dir = dir.path().string();
+  const campaign::DrillReport report = campaign::run_drill(code, options);
+  EXPECT_EQ(report.verdict.failures, std::vector<std::string>{});
+  EXPECT_EQ(report.pending_intents, 1u);
+  EXPECT_EQ(report.false_claims, 0u);
+  EXPECT_GE(report.verified_commits, 1u);
 }
 
 TEST(Scrub, ReplayQuarantinesFalseRepairedClaims) {

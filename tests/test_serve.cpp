@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analyze_hazard/hazard.h"
+#include "campaign/campaign.h"
 #include "codec/codec.h"
 #include "codes/lrc_code.h"
 #include "codes/rdp_code.h"
@@ -35,22 +36,8 @@ using io::FaultInjectingSource;
 using io::FaultSpec;
 using io::MemoryBlockSource;
 
-std::vector<const std::uint8_t*> snapshot_ptrs(
-    const std::vector<std::uint8_t>& snap, std::size_t blocks,
-    std::size_t bytes) {
-  std::vector<const std::uint8_t*> ptrs(blocks);
-  for (std::size_t i = 0; i < blocks; ++i) ptrs[i] = snap.data() + i * bytes;
-  return ptrs;
-}
-
-std::vector<std::uint32_t> digests_of(const std::vector<std::uint8_t>& snap,
-                                      std::size_t blocks, std::size_t bytes) {
-  std::vector<std::uint32_t> crc(blocks);
-  for (std::size_t i = 0; i < blocks; ++i) {
-    crc[i] = crc32(snap.data() + i * bytes, bytes);
-  }
-  return crc;
-}
+using campaign::digests_of;
+using campaign::snapshot_ptrs;
 
 // ---- ThreadedAsyncSource: the thread-backed reactor ---------------------
 
@@ -570,52 +557,25 @@ class ReadCounter final : public io::BlockSource {
 /// chaos`'s CI fault mix (5% permanent, 10% transient, 5% corrupt, seed
 /// 7, 512 B blocks, digests attached), decoded by decode_resilient and by
 /// decode_overlapped on two sources rolled from one seed, at retry
-/// budgets 1 and 3. Hedging off, the served report must equal the serial
-/// one and read each survivor clean at most once, within its budget.
-/// Hedging on, the chaos judge's order-independent rules must hold.
+/// budgets 1 and 3. Hedged or not, the served report must equal the
+/// serial one and attempt each survivor at most 1 + retries times;
+/// unhedged, it also reads each survivor clean at most once.
 void judge_served_chaos(const ErasureCode& code, bool hedge) {
   constexpr std::size_t kBytes = 512;
   const std::size_t total = code.total_blocks();
-  Stripe reference(code, kBytes);
-  const auto snap = test::fill_and_encode(code, reference, 7);
-  const auto ptrs = snapshot_ptrs(snap, total, kBytes);
-  const auto digests = digests_of(snap, total, kBytes);
-  // `ppm_cli chaos --sweep 2`'s order: every single disk, then each pair.
-  std::vector<FailureScenario> scenarios;
-  const auto disks_down = [&](std::initializer_list<std::size_t> disks) {
-    std::vector<std::size_t> faulty;
-    for (const std::size_t d : disks) {
-      for (std::size_t row = 0; row < code.rows(); ++row) {
-        faulty.push_back(code.block_id(row, d));
-      }
-    }
-    scenarios.emplace_back(faulty);
-  };
-  for (std::size_t d = 0; d < code.disks(); ++d) disks_down({d});
-  for (std::size_t d0 = 0; d0 < code.disks(); ++d0) {
-    for (std::size_t d1 = d0 + 1; d1 < code.disks(); ++d1) {
-      disks_down({d0, d1});
-    }
-  }
-  const auto erased_copy = [&](const FailureScenario& sc) {
-    auto stripe = std::make_unique<Stripe>(code, kBytes);
-    for (std::size_t b = 0; b < total; ++b) {
-      std::memcpy(stripe->block(b), ptrs[b], kBytes);
-    }
-    stripe->erase(sc);
-    return stripe;
-  };
-  io::FaultInjectingSource::CampaignOptions campaign;
-  campaign.fail_permanent = 0.05;
-  campaign.fail_transient = 0.10;
-  campaign.corrupt = 0.05;
+  Rng fill(7);
+  const campaign::ReferenceStripe reference(code, kBytes, fill);
+  io::FaultInjectingSource::CampaignOptions faults;
+  faults.fail_permanent = 0.05;
+  faults.fail_transient = 0.10;
+  faults.corrupt = 0.05;
   Codec codec(code);
   for (const std::size_t retries : {std::size_t{1}, std::size_t{3}}) {
     serve::OverlapOptions options;
     options.hedge.enabled = hedge;
     options.resilience.max_read_retries = retries;
     Rng rng(7);
-    for (const FailureScenario& sc : scenarios) {
+    for (const FailureScenario& sc : campaign::disk_sweep(code, 2)) {
       const std::vector<std::size_t> exempt(sc.faulty().begin(),
                                             sc.faulty().end());
       for (int round = 0; round < 2; ++round) {
@@ -623,59 +583,39 @@ void judge_served_chaos(const ErasureCode& code, bool hedge) {
                      std::to_string(retries) + " round " +
                      std::to_string(round) + " faulty " +
                      std::to_string(sc.faulty().front()) + "..");
-        MemoryBlockSource inner(ptrs.data(), total, kBytes);
+        MemoryBlockSource inner(reference.ptrs.data(), total, kBytes);
         FaultInjectingSource serial_source(inner);
         FaultInjectingSource served_source(inner);
         Rng twin = rng;
-        serial_source.roll_campaign(campaign, rng, exempt);
-        served_source.roll_campaign(campaign, twin, exempt);
-        ReadCounter counted(served_source, digests);
+        serial_source.roll_campaign(faults, rng, exempt);
+        served_source.roll_campaign(faults, twin, exempt);
+        ReadCounter counted(served_source, reference.digests);
 
-        const auto serial_stripe = erased_copy(sc);
-        const auto served_stripe = erased_copy(sc);
+        const auto serial_stripe = reference.erased_copy(sc);
+        const auto served_stripe = reference.erased_copy(sc);
         const auto serial = codec.decode_resilient(
             sc, serial_source, serial_stripe->block_ptrs(), kBytes,
-            options.resilience, digests);
+            options.resilience, reference.digests);
         const auto out = serve::decode_overlapped(
             codec, sc, counted, served_stripe->block_ptrs(), kBytes, options,
-            digests);
+            reference.digests);
         const ResilientResult& served = out.resilient;
         EXPECT_EQ(out.complete, served.complete);
-        EXPECT_TRUE(served_stripe->blocks_equal(snap, served.recovered));
-
-        if (!hedge) {
-          EXPECT_EQ(served.final_scenario, serial.final_scenario);
-          EXPECT_EQ(served.complete, serial.complete);
-          EXPECT_EQ(served.partial, serial.partial);
-          EXPECT_EQ(served.escalations, serial.escalations);
-          EXPECT_EQ(served.recovered, serial.recovered);
-          EXPECT_EQ(served.corrupted, serial.corrupted);
-          EXPECT_EQ(served.source_failed, serial.source_failed);
-          EXPECT_EQ(served.unrecoverable, serial.unrecoverable);
-          for (std::size_t b = 0; b < total; ++b) {
-            EXPECT_LE(counted.clean(b), 1u) << "block " << b;
-            EXPECT_LE(counted.attempts(b), 1 + retries) << "block " << b;
-          }
-          continue;
-        }
-        std::vector<std::size_t> worst(exempt);
+        EXPECT_TRUE(
+            served_stripe->blocks_equal(reference.snap, served.recovered));
+        EXPECT_EQ(served.final_scenario, serial.final_scenario);
+        EXPECT_EQ(served.complete, serial.complete);
+        EXPECT_EQ(served.partial, serial.partial);
+        EXPECT_EQ(served.escalations, serial.escalations);
+        EXPECT_EQ(served.recovered, serial.recovered);
+        EXPECT_EQ(served.corrupted, serial.corrupted);
+        EXPECT_EQ(served.source_failed, serial.source_failed);
+        EXPECT_EQ(served.unrecoverable, serial.unrecoverable);
         for (std::size_t b = 0; b < total; ++b) {
-          if (!sc.contains(b) &&
-              served_source.fault(b).permanently_unreadable(retries)) {
-            worst.push_back(b);
+          if (!hedge) {
+            EXPECT_LE(counted.clean(b), 1u) << "block " << b;
           }
-        }
-        const FailureScenario worst_sc(worst);
-        if (worst_sc.count() <= code.check_rows() &&
-            codec.plan_for(worst_sc) != nullptr) {
-          EXPECT_TRUE(served.complete);
-        }
-        if (served.complete) {
-          EXPECT_TRUE(served_stripe->equals(snap));
-          const auto final_faulty = served.final_scenario.faulty();
-          EXPECT_EQ(served.recovered,
-                    std::vector<std::size_t>(final_faulty.begin(),
-                                             final_faulty.end()));
+          EXPECT_LE(counted.attempts(b), 1 + retries) << "block " << b;
         }
       }
     }
@@ -704,6 +644,49 @@ TEST(Overlap, ChaosJudgeRdp) {
   const RDPCode code(7, 8);
   judge_served_chaos(code, false);
   judge_served_chaos(code, true);
+}
+
+TEST(Overlap, HedgesSpendTheRetryBudget) {
+  // A straggling survivor that also fails its first two reads. Its hedge
+  // is one of the 1 + max_read_retries attempts a retry would have used,
+  // so the served decode escalates it as decode_resilient does instead of
+  // landing a third read.
+  const RSCode code(6, 3, 8);
+  Rng fill(9);
+  const campaign::ReferenceStripe reference(code, 512, fill);
+  const FailureScenario sc({0});
+  FaultSpec spec;
+  spec.delay = std::chrono::milliseconds{20};
+  spec.delay_reads = 1;
+  spec.fail_reads = 2;
+  MemoryBlockSource inner(reference.ptrs.data(), code.total_blocks(), 512);
+  FaultInjectingSource serial_source(inner);
+  FaultInjectingSource served_source(inner);
+  serial_source.set_fault(2, spec);
+  served_source.set_fault(2, spec);
+  ReadCounter counted(served_source, reference.digests);
+  serve::OverlapOptions options;
+  options.resilience.max_read_retries = 1;
+  options.resilience.deadline = std::chrono::seconds{1};  // a hedge basis
+
+  Codec codec(code);
+  const auto serial_stripe = reference.erased_copy(sc);
+  const auto served_stripe = reference.erased_copy(sc);
+  const auto serial = codec.decode_resilient(
+      sc, serial_source, serial_stripe->block_ptrs(), 512, options.resilience,
+      reference.digests);
+  const auto out = serve::decode_overlapped(
+      codec, sc, counted, served_stripe->block_ptrs(), 512, options,
+      reference.digests);
+  ASSERT_EQ(serial.final_scenario, FailureScenario({0, 2}));
+  const ResilientResult& served = out.resilient;
+  EXPECT_EQ(served.final_scenario, serial.final_scenario);
+  EXPECT_EQ(served.escalations, serial.escalations);
+  EXPECT_EQ(served.complete, serial.complete);
+  EXPECT_EQ(served.recovered, serial.recovered);
+  EXPECT_EQ(served.source_failed, serial.source_failed);
+  EXPECT_LE(counted.attempts(2), 2u);
+  EXPECT_TRUE(served_stripe->equals(reference.snap));
 }
 
 // ---- DecodeServer: queue, admission, batching ---------------------------

@@ -17,15 +17,14 @@
 //   ppm_cli chaos    --code <family> [params]      seeded fault-injection
 //                    [--sweep <disks>] [--seed S] [--rounds R]   campaign
 //                    [--permanent P] [--transient P] [--corrupt P]   against
-//                    [--straggle P] [--retries N]   the resilient pipeline
+//                    [--retries N]   the resilient pipeline
 //   ppm_cli serve    --code <family> [params]      decode-serving campaign:
 //                    [--sweep <disks>] [--seed S] [--rounds R]   async fetch +
 //                    [--requests N] [--straggle P] [--delay-us U]  hedged reads
-//                    [--queue D] [--dispatchers N] [--reactors N]  + overlapped
 //                    [--serial 0|1] [--assert-ratio P] [--assert-floor-us U]
-//                    [--scrub-rate-kbps K]   group solves vs the serial
-//                    resilient baseline, optionally beside a rate-limited
-//                    background scrubber
+//                    [--scrub-rate-kbps K]   + overlapped group solves vs the
+//                    serial resilient baseline, optionally beside a
+//                    rate-limited background scrubber
 //   ppm_cli scrub    --code <family> [params]      continuous-scrub campaign:
 //                    [--stripes N] [--epochs E] [--seed S]   seeded latent-
 //                    [--permanent P] [--corrupt P]   error arrivals, sweep +
@@ -51,21 +50,13 @@
 // (family worst case) — number of whole-disk failures for the generic
 // generator.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <future>
 #include <map>
 #include <memory>
 #include <numeric>
-#include <optional>
-#include <set>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ppm.h"
@@ -371,52 +362,22 @@ std::vector<planverify::Violation> verify_one(Codec& codec,
   return std::move(verdict.violations);
 }
 
-// Drive `run_one` over the scenario selection shared by `verify` and
-// `analyze`: an explicit --scenario, every combination of up to --sweep
+// The scenario selection shared by verify, analyze, store, chaos and
+// serve: an explicit --scenario, every combination of up to --sweep
 // whole-disk failures, or the family worst case.
-template <typename Fn>
-void for_each_selected_scenario(const ErasureCode& code, const Args& args,
-                                const Fn& run_one) {
+std::vector<FailureScenario> selected_scenarios(const ErasureCode& code,
+                                                const Args& args) {
   if (args.flags.contains("sweep")) {
-    // Every combination of 1..sweep failed disks (each disk failure
-    // erases that disk's blocks in every row of the stripe).
-    const std::size_t max_disks =
-        std::min(args.get("sweep", 1), code.disks());
-    std::vector<std::size_t> combo;
-    const auto recurse = [&](auto&& self, std::size_t next,
-                             std::size_t remaining) -> void {
-      if (remaining == 0) {
-        std::vector<std::size_t> faulty;
-        for (const std::size_t d : combo) {
-          for (std::size_t row = 0; row < code.rows(); ++row) {
-            faulty.push_back(code.block_id(row, d));
-          }
-        }
-        run_one(FailureScenario(faulty));
-        return;
-      }
-      for (std::size_t d = next; d + remaining <= code.disks(); ++d) {
-        combo.push_back(d);
-        self(self, d + 1, remaining - 1);
-        combo.pop_back();
-      }
-    };
-    for (std::size_t k = 1; k <= max_disks; ++k) recurse(recurse, 0, k);
-  } else if (args.flags.contains("scenario")) {
-    run_one(parse_scenario_spec(args.get("scenario", std::string{})));
-  } else {
-    ScenarioGenerator gen(args.get("seed", 1));
-    run_one(make_scenario(code, args, gen));
+    return campaign::disk_sweep(code, args.get("sweep", 1));
   }
+  if (args.flags.contains("scenario")) {
+    return {parse_scenario_spec(args.get("scenario", std::string{}))};
+  }
+  ScenarioGenerator gen(args.get("seed", 1));
+  return {make_scenario(code, args, gen)};
 }
 
-std::string scenario_ids(const FailureScenario& sc) {
-  std::string ids;
-  for (const std::size_t b : sc.faulty()) {
-    ids += (ids.empty() ? "" : ",") + std::to_string(b);
-  }
-  return ids;
-}
+using campaign::scenario_ids;
 
 // Offline plan-space vetting for operators: verify the plan of one
 // scenario (--scenario or the family default), or of every combination of
@@ -429,20 +390,20 @@ int cmd_verify(const ErasureCode& code, const Args& args) {
   std::size_t schedules = 0;
   std::vector<planverify::Violation> violations;
 
-  for_each_selected_scenario(code, args, [&](const FailureScenario& sc) {
+  for (const FailureScenario& sc : selected_scenarios(code, args)) {
     bool undecodable = false;
     auto v = verify_one(codec, code, sc, &undecodable, &schedules);
     ++checked;
     if (undecodable) {
       ++undecodable_count;
-      return;
+      continue;
     }
     if (!v.empty()) {
       std::fprintf(stderr, "FAIL: scenario [%s]: %zu violation(s)\n",
                    scenario_ids(sc).c_str(), v.size());
       violations.insert(violations.end(), v.begin(), v.end());
     }
-  });
+  }
 
   std::fprintf(stderr,
                "%s: %zu scenario(s) verified (%zu undecodable skipped), "
@@ -503,12 +464,12 @@ int cmd_analyze(const ErasureCode& code, const Args& args) {
   std::string profile_json;  // per-scenario profile (last scenario wins)
   std::vector<planverify::Violation> violations;
 
-  for_each_selected_scenario(code, args, [&](const FailureScenario& sc) {
+  for (const FailureScenario& sc : selected_scenarios(code, args)) {
     ++checked;
     const auto plan = codec.plan_for(sc);
     if (plan == nullptr) {
       ++undecodable_count;
-      return;
+      continue;
     }
     const auto take = [&](const hazard::Analysis& a, const char* what) {
       if (!a.ok()) {
@@ -621,7 +582,7 @@ int cmd_analyze(const ErasureCode& code, const Args& args) {
                    prof.max_width, prof.speedup_bound(), placed, roundrobin,
                    threads);
     }
-  });
+  }
 
   std::fprintf(stderr,
                "%s: %zu scenario(s) analyzed (%zu undecodable skipped), "
@@ -672,496 +633,94 @@ int cmd_analyze(const ErasureCode& code, const Args& args) {
   return 0;
 }
 
-// Seeded chaos campaign against the resilient decode pipeline
-// (docs/ROBUSTNESS.md):
-//
-//   ppm_cli chaos --code <family> [params] [--sweep N|--scenario 1,5]
-//           [--seed S] [--rounds R] [--permanent P] [--transient P]
-//           [--corrupt P] [--straggle P] [--retries N]
-//
-// For every selected scenario, `--rounds` independent fault campaigns are
-// rolled from the seed (probabilities are percentages per survivor block)
-// and decode_resilient runs against the faulted source with per-block CRC
-// digests. Every run is then checked against an independent expectation:
-//
-//   * if the scenario plus every permanently unreadable survivor is still
-//     decodable, the run must end complete and byte-identical;
-//   * any incomplete run's recovered set must equal exactly the
-//     independent O1 groups (and, when all groups solved, H_rest) whose
-//     survivors are readable, and those blocks must be byte-identical.
-//
-// Outcome histogram JSON on stdout; exit 1 on any expectation failure.
-// Deterministic from --seed: rerunning reproduces every fault and every
-// outcome bit-for-bit.
-int cmd_chaos(const ErasureCode& code, const Args& args) {
-  const std::size_t block = args.get("block", 4096);
-  const std::size_t rounds = args.get("rounds", 3);
-  const std::size_t retries = args.get("retries", 3);
-  io::FaultInjectingSource::CampaignOptions campaign;
-  campaign.fail_permanent =
-      static_cast<double>(args.get("permanent", 8)) / 100.0;
-  campaign.fail_transient =
-      static_cast<double>(args.get("transient", 12)) / 100.0;
-  campaign.corrupt = static_cast<double>(args.get("corrupt", 8)) / 100.0;
-  campaign.delay = static_cast<double>(args.get("straggle", 0)) / 100.0;
-  campaign.delay_ns = std::chrono::microseconds{100};
+// --percent flags: `key`'s value as a probability, or `fallback`.
+double probability(const Args& args, const std::string& key,
+                   double fallback) {
+  return args.flags.contains(key)
+             ? static_cast<double>(args.get(key, 0)) / 100.0
+             : fallback;
+}
 
-  // One reference stripe: encode once, snapshot, digest per block.
-  Stripe stripe(code, block);
-  Rng fill_rng(args.get("seed", 1) + 17);
-  stripe.fill_data(fill_rng);
-  const TraditionalDecoder trad(code);
-  if (!trad.encode(stripe.block_ptrs(), block)) return 1;
-  const auto snap = stripe.snapshot();
-  const std::size_t total = code.total_blocks();
-  std::vector<const std::uint8_t*> backing(total);
-  std::vector<std::uint32_t> digests(total);
-  for (std::size_t b = 0; b < total; ++b) {
-    backing[b] = snap.data() + b * block;
-    digests[b] = crc32(backing[b], block);
+void print_verdict(const campaign::Verdict& verdict) {
+  for (const std::string& what : verdict.failures) {
+    std::fprintf(stderr, "VERIFY FAIL: %s\n", what.c_str());
   }
-  const auto restore = [&] {
-    for (std::size_t b = 0; b < total; ++b) {
-      std::memcpy(stripe.block(b), backing[b], block);
-    }
-  };
+}
 
-  Codec codec(code);
-  ResilienceOptions ropt;
-  ropt.max_read_retries = retries;
-  Rng rng(args.get("seed", 1));
-
-  std::size_t runs = 0;
-  std::size_t complete = 0;
-  std::size_t partial = 0;
-  std::size_t none = 0;  // incomplete with nothing recovered
-  std::size_t verify_failures = 0;
-  std::size_t retries_sum = 0;
-  std::size_t escalations_sum = 0;
-  std::size_t corruption_sum = 0;
-  std::size_t failures_injected = 0;
-  std::size_t corruptions_injected = 0;
-
-  const auto mirror_partial_expectation =
-      [&](const FailureScenario& final_sc,
-          const io::FaultInjectingSource& source) {
-        // Independent recomputation of what partial recovery must achieve:
-        // walk the O1 decomposition of the final faulty set and keep every
-        // group whose system is solvable and whose survivors the fault
-        // schedule lets through; H_rest joins only once every group did.
-        const Matrix& h = code.parity_check();
-        const LogTable table = LogTable::build(h, final_sc.faulty());
-        const Partition part = make_partition(h, table);
-        std::vector<std::size_t> expected;
-        const auto readable = [&](std::span<const std::size_t> survivors) {
-          for (const std::size_t s : survivors) {
-            if (std::binary_search(expected.begin(), expected.end(), s)) {
-              continue;  // recovered by an earlier group: in-buffer
-            }
-            if (source.fault(s).permanently_unreadable(retries)) return false;
-          }
-          return true;
-        };
-        for (const IndependentGroup& g : part.groups) {
-          const auto sub = SubPlan::make(h, g.rows, g.faulty_cols,
-                                         final_sc.faulty(),
-                                         Sequence::kMatrixFirst);
-          if (!sub.has_value() || !readable(sub->survivors())) continue;
-          for (const std::size_t b : g.faulty_cols) {
-            expected.insert(
-                std::upper_bound(expected.begin(), expected.end(), b), b);
-          }
-        }
-        if (!part.rest_empty() &&
-            expected.size() + part.rest_faulty.size() ==
-                final_sc.count()) {
-          const auto sub = SubPlan::make(h, part.rest_rows, part.rest_faulty,
-                                         part.rest_faulty,
-                                         Sequence::kMatrixFirst);
-          if (sub.has_value() && readable(sub->survivors())) {
-            for (const std::size_t b : part.rest_faulty) {
-              expected.insert(
-                  std::upper_bound(expected.begin(), expected.end(), b), b);
-            }
-          }
-        }
-        return expected;
-      };
-
-  for_each_selected_scenario(code, args, [&](const FailureScenario& sc) {
-    for (std::size_t round = 0; round < rounds; ++round) {
-      restore();
-      stripe.erase(sc);
-      io::MemoryBlockSource inner(backing.data(), total, block);
-      io::FaultInjectingSource source(inner);
-      const std::vector<std::size_t> exempt(sc.faulty().begin(),
-                                            sc.faulty().end());
-      source.roll_campaign(campaign, rng, exempt);
-
-      const auto out = codec.decode_resilient(sc, source, stripe.block_ptrs(),
-                                              block, ropt, digests);
-      ++runs;
-      retries_sum += out.retries;
-      escalations_sum += out.escalations;
-      corruption_sum += out.corruption_detected;
-      failures_injected += source.failures_injected();
-      corruptions_injected += source.corruptions_injected();
-
-      const auto flag = [&](const char* what) {
-        ++verify_failures;
-        std::fprintf(stderr, "VERIFY FAIL: scenario [%s] round %zu: %s\n",
-                     scenario_ids(sc).c_str(), round, what);
-      };
-
-      // Worst-case escalated set: the scenario plus every survivor the
-      // schedule makes permanently unreadable under this retry budget.
-      std::vector<std::size_t> worst(sc.faulty().begin(), sc.faulty().end());
-      for (std::size_t b = 0; b < total; ++b) {
-        if (!sc.contains(b) &&
-            source.fault(b).permanently_unreadable(retries)) {
-          worst.push_back(b);
-        }
-      }
-      const FailureScenario worst_sc(worst);
-      const bool worst_decodable =
-          worst_sc.count() <= code.check_rows() &&
-          codec.plan_for(worst_sc) != nullptr;
-
-      if (out.complete) {
-        ++complete;
-        if (!stripe.equals(snap)) flag("complete but not byte-identical");
-        const auto final_faulty = out.final_scenario.faulty();
-        if (out.recovered !=
-            std::vector<std::size_t>(final_faulty.begin(),
-                                     final_faulty.end())) {
-          flag("complete but recovered != final faulty set");
-        }
-      } else {
-        if (worst_decodable) {
-          flag("within-capability scenario did not recover completely");
-        }
-        const auto expected =
-            mirror_partial_expectation(out.final_scenario, source);
-        if (out.recovered != expected) {
-          flag("recovered set != independent groups with intact inputs");
-        }
-        if (!stripe.blocks_equal(snap, out.recovered)) {
-          flag("partially recovered blocks not byte-identical");
-        }
-        ++(out.recovered.empty() ? none : partial);
-      }
-    }
-  });
-
+// Chaos campaign (campaign::run_chaos): outcome histogram JSON on stdout;
+// exit 1 on any expectation failure.
+int cmd_chaos(const ErasureCode& code, const Args& args) {
+  campaign::ChaosOptions opts;
+  opts.scenarios = selected_scenarios(code, args);
+  opts.block_bytes = args.get("block", opts.block_bytes);
+  opts.rounds = args.get("rounds", opts.rounds);
+  opts.retries = args.get("retries", opts.retries);
+  opts.seed = args.get("seed", opts.seed);
+  opts.permanent = probability(args, "permanent", opts.permanent);
+  opts.transient = probability(args, "transient", opts.transient);
+  opts.corrupt = probability(args, "corrupt", opts.corrupt);
+  const campaign::ChaosReport report = campaign::run_chaos(code, opts);
+  print_verdict(report.verdict);
   std::fprintf(stderr,
                "%s: %zu chaos run(s): %zu complete, %zu partial, %zu "
                "unrecovered, %zu verify failure(s)\n",
-               code.name().c_str(), runs, complete, partial, none,
-               verify_failures);
-  std::printf(
-      "{\"code\":\"%s\",\"runs\":%zu,\"outcomes\":{\"complete\":%zu,"
-      "\"partial\":%zu,\"none\":%zu},\"verify_failures\":%zu,"
-      "\"retries\":%zu,\"escalations\":%zu,\"corruption_detected\":%zu,"
-      "\"injected\":{\"read_failures\":%zu,\"corruptions\":%zu}}\n",
-      code.name().c_str(), runs, complete, partial, none, verify_failures,
-      retries_sum, escalations_sum, corruption_sum, failures_injected,
-      corruptions_injected);
-  return verify_failures == 0 ? 0 : 1;
+               code.name().c_str(), report.runs, report.complete,
+               report.partial, report.none, report.verdict.failures.size());
+  std::printf("%s\n", report.to_json().c_str());
+  return report.verdict.ok() ? 0 : 1;
 }
 
-// Serving campaign (docs/SERVING.md): drive the DecodeServer +
-// decode_overlapped front end over the selected scenarios in three
-// phases — clean source, seeded transient stragglers with hedging, and
-// (--serial 1) the serial decode_resilient baseline on the *same*
-// straggler schedules — verifying byte-identity on every request and
-// reporting per-phase latency histograms (p50/p99/p999) plus hedge,
-// fallback and overlap counters as one JSON object on stdout.
-//
-// CI contract: exits 1 on any verify failure; with --assert-ratio R
-// additionally requires hedged p99 <= max(R% of clean p99,
-// --assert-floor-us) and, when the serial phase ran, hedged p99 strictly
-// below serial p99.
+// Serving campaign (campaign::run_serve): per-phase JSON on stdout; exit
+// 1 on any verify failure. With --assert-ratio R, also requires hedged p99
+// <= max(R% of clean p99, --assert-floor-us) and, when the serial phase
+// ran, hedged p99 strictly below serial p99.
 int cmd_serve(const ErasureCode& code, const Args& args) {
-  const std::size_t block = args.get("block", 4096);
-  const std::size_t rounds = args.get("rounds", 2);
-  const std::size_t per_scenario = std::max<std::size_t>(
-      1, args.get("requests", 4));
-  const std::size_t retries = args.get("retries", 3);
-  const double straggle =
-      static_cast<double>(args.get("straggle", 25)) / 100.0;
-  const std::chrono::microseconds delay{args.get("delay-us", 3000)};
-  const bool run_serial = args.get("serial", 1) != 0;
+  campaign::ServeOptions opts;
+  opts.scenarios = selected_scenarios(code, args);
+  opts.block_bytes = args.get("block", opts.block_bytes);
+  opts.rounds = args.get("rounds", opts.rounds);
+  opts.requests = std::max<std::size_t>(1, args.get("requests", opts.requests));
+  opts.retries = args.get("retries", opts.retries);
+  opts.seed = args.get("seed", opts.seed);
+  opts.straggle = probability(args, "straggle", opts.straggle);
+  opts.delay = std::chrono::microseconds{args.get("delay-us", 3000)};
+  opts.serial = args.get("serial", 1) != 0;
+  opts.scrub_rate_kbps = static_cast<double>(args.get("scrub-rate-kbps", 0));
   const std::size_t assert_ratio = args.get("assert-ratio", 0);  // percent
   const std::size_t assert_floor_us = args.get("assert-floor-us", 2000);
-  const std::uint64_t seed = args.get("seed", 1);
 
-  // One reference stripe: encode once, snapshot, digest per block.
-  Stripe reference(code, block);
-  Rng fill_rng(seed + 17);
-  reference.fill_data(fill_rng);
-  const TraditionalDecoder trad(code);
-  if (!trad.encode(reference.block_ptrs(), block)) return 1;
-  const auto snap = reference.snapshot();
-  const std::size_t total = code.total_blocks();
-  std::vector<const std::uint8_t*> backing(total);
-  std::vector<std::uint32_t> digests(total);
-  for (std::size_t b = 0; b < total; ++b) {
-    backing[b] = snap.data() + b * block;
-    digests[b] = crc32(backing[b], block);
+  campaign::ServeReport report;
+  campaign::run_serve(code, opts, report);
+  for (const campaign::PhaseReport* phase :
+       {&report.clean, &report.hedged, &report.serial}) {
+    print_verdict(phase->verdict);
   }
-
-  std::vector<FailureScenario> scenarios;
-  for_each_selected_scenario(
-      code, args, [&](const FailureScenario& sc) { scenarios.push_back(sc); });
-
-  Codec codec(code);
-  io::FaultInjectingSource::CampaignOptions campaign;
-  campaign.delay = straggle;
-  campaign.delay_ns = delay;
-  campaign.delay_attempts = 1;  // transient stragglers: duplicates are fast
-
-  serve::ServerOptions sopts;
-  sopts.queue_depth = args.get("queue", 64);
-  sopts.dispatchers = static_cast<unsigned>(args.get("dispatchers", 2));
-  sopts.overlap.reactor_threads =
-      static_cast<unsigned>(args.get("reactors", 32));
-  sopts.overlap.resilience.max_read_retries = retries;
-
-  struct PhaseStats {
-    LatencyHistogram latency;  ///< per-request decode wall time
-    std::size_t requests = 0;
-    std::size_t rejected = 0;
-    std::size_t verify_failures = 0;
-    std::size_t fallbacks = 0;
-    std::size_t overlapped = 0;  ///< solves started before last read
-    std::size_t hedges_launched = 0;
-    std::size_t hedges_won = 0;
-    std::size_t hedges_wasted = 0;
-  };
-
-  const auto flag = [](PhaseStats& st, const char* phase,
-                       const FailureScenario& sc, const char* what) {
-    ++st.verify_failures;
-    std::fprintf(stderr, "VERIFY FAIL: %s phase, scenario [%s]: %s\n", phase,
-                 scenario_ids(sc).c_str(), what);
-  };
-
-  // One served phase: per scenario and round, `per_scenario` concurrent
-  // requests (same plan key — the server batches them) over per-request
-  // fault-injecting sources rolled from one seeded stream.
-  const auto run_served = [&](bool inject, const char* name, PhaseStats& st,
-                              std::uint64_t phase_seed) {
-    Rng rng(phase_seed);
-    serve::DecodeServer server(codec, sopts);
-    for (std::size_t round = 0; round < rounds; ++round) {
-      for (const FailureScenario& sc : scenarios) {
-        const std::vector<std::size_t> exempt(sc.faulty().begin(),
-                                              sc.faulty().end());
-        std::vector<std::unique_ptr<Stripe>> stripes;
-        std::vector<std::unique_ptr<io::MemoryBlockSource>> inners;
-        std::vector<std::unique_ptr<io::FaultInjectingSource>> sources;
-        std::vector<std::optional<std::future<serve::OverlapResult>>> futures;
-        for (std::size_t k = 0; k < per_scenario; ++k) {
-          auto stripe = std::make_unique<Stripe>(code, block);
-          for (std::size_t b = 0; b < total; ++b) {
-            std::memcpy(stripe->block(b), backing[b], block);
-          }
-          stripe->erase(sc);
-          auto inner = std::make_unique<io::MemoryBlockSource>(
-              backing.data(), total, block);
-          auto source =
-              std::make_unique<io::FaultInjectingSource>(*inner);
-          if (inject) source->roll_campaign(campaign, rng, exempt);
-          serve::ServeRequest req;
-          req.scenario = sc;
-          req.source = source.get();
-          req.blocks = stripe->block_ptrs();
-          req.block_bytes = block;
-          req.expected_crc = digests;
-          ++st.requests;
-          futures.push_back(server.submit(std::move(req)));
-          stripes.push_back(std::move(stripe));
-          inners.push_back(std::move(inner));
-          sources.push_back(std::move(source));
-        }
-        for (std::size_t k = 0; k < per_scenario; ++k) {
-          if (!futures[k].has_value()) {
-            ++st.rejected;
-            continue;
-          }
-          const serve::OverlapResult out = futures[k]->get();
-          st.latency.record_nanos(static_cast<std::uint64_t>(out.total_ns));
-          st.fallbacks += out.fallback ? 1 : 0;
-          st.overlapped += out.overlapped ? 1 : 0;
-          st.hedges_launched += out.hedges_launched;
-          st.hedges_won += out.hedges_won;
-          st.hedges_wasted += out.hedges_wasted;
-          if (!out.complete) flag(st, name, sc, "request did not complete");
-          if (!stripes[k]->equals(snap)) {
-            flag(st, name, sc, "decoded stripe not byte-identical");
-          }
-        }
-      }
-    }
-    server.shutdown();
-  };
-
-  // Optional background scrubber (--scrub-rate-kbps): a token-bucket
-  // rate-limited Scrubber patrols its own small fleet for the whole
-  // campaign, continuously finding and repairing planted corruption.
-  // It shares the process (allocator, caches, cores) with the serving
-  // path — the p99 ratio gate below then proves a paced scrub does not
-  // break the serving SLO.
-  const double scrub_rate_kbps =
-      static_cast<double>(args.get("scrub-rate-kbps", 0));
-  std::vector<std::unique_ptr<Stripe>> scrub_storage;
-  std::vector<std::unique_ptr<Stripe>> scrub_scratch;
-  std::vector<std::unique_ptr<io::MemoryBlockStore>> scrub_stores;
-  std::vector<std::unique_ptr<io::FaultInjectingSource>> scrub_seams;
-  std::optional<Codec> scrub_codec;
-  std::optional<scrub::Scrubber> scrubber;
-  std::atomic<bool> scrub_stop{false};
-  std::size_t scrub_cycles = 0;
-  std::thread scrub_thread;
-  if (scrub_rate_kbps > 0.0) {
-    scrub_codec.emplace(code);  // own plan cache: don't pollute serving's
-    scrub::ScrubOptions scrub_opt;
-    scrub_opt.rate_bytes_per_sec = scrub_rate_kbps * 1024.0;
-    scrub_opt.sweep_read_retries = retries;
-    scrub_opt.repair.max_read_retries = retries;
-    scrubber.emplace(*scrub_codec, scrub_opt);
-    for (std::size_t i = 0; i < 2; ++i) {
-      auto storage = std::make_unique<Stripe>(code, block);
-      for (std::size_t b = 0; b < total; ++b) {
-        std::memcpy(storage->block(b), backing[b], block);
-      }
-      auto store = std::make_unique<io::MemoryBlockStore>(
-          storage->block_ptrs(), total, block);
-      auto seam = std::make_unique<io::FaultInjectingSource>(*store, *store);
-      scrub::ScrubTarget target;
-      target.source = seam.get();
-      target.writer = seam.get();
-      scrub_scratch.push_back(std::make_unique<Stripe>(code, block));
-      target.blocks = scrub_scratch.back()->block_ptrs();
-      target.expected_crc = digests;
-      target.stripe_id = "serve-scrub-" + std::to_string(i);
-      scrubber->add_target(std::move(target));
-      scrub_storage.push_back(std::move(storage));
-      scrub_stores.push_back(std::move(store));
-      scrub_seams.push_back(std::move(seam));
-    }
-    scrub_thread = std::thread([&] {
-      std::size_t iter = 0;
-      while (!scrub_stop.load(std::memory_order_relaxed)) {
-        // Plant a fresh silent corruption each cycle; only this thread
-        // touches these seams, so set_fault/run_cycle never race.
-        io::FaultSpec rot;
-        rot.corrupt = true;
-        rot.corrupt_offset = iter % block;
-        rot.corrupt_bytes = 4;
-        scrub_seams[iter % scrub_seams.size()]->set_fault(iter % total, rot);
-        scrubber->run_cycle();
-        ++scrub_cycles;
-        ++iter;
-      }
-    });
-  }
-
-  PhaseStats clean;
-  PhaseStats hedged;
-  PhaseStats serial;
-  run_served(false, "clean", clean, seed);
-  run_served(true, "hedged", hedged, seed + 1000);
-
-  if (run_serial) {
-    // The serial baseline replays the hedged phase's exact straggler
-    // schedules (same seed stream) through decode_resilient.
-    Rng rng(seed + 1000);
-    ResilienceOptions ropt;
-    ropt.max_read_retries = retries;
-    for (std::size_t round = 0; round < rounds; ++round) {
-      for (const FailureScenario& sc : scenarios) {
-        const std::vector<std::size_t> exempt(sc.faulty().begin(),
-                                              sc.faulty().end());
-        for (std::size_t k = 0; k < per_scenario; ++k) {
-          Stripe stripe(code, block);
-          for (std::size_t b = 0; b < total; ++b) {
-            std::memcpy(stripe.block(b), backing[b], block);
-          }
-          stripe.erase(sc);
-          io::MemoryBlockSource inner(backing.data(), total, block);
-          io::FaultInjectingSource source(inner);
-          source.roll_campaign(campaign, rng, exempt);
-          ++serial.requests;
-          const Timer timer;
-          const auto out = codec.decode_resilient(
-              sc, source, stripe.block_ptrs(), block, ropt, digests);
-          serial.latency.record_nanos(
-              static_cast<std::uint64_t>(timer.nanos()));
-          if (!out.complete) flag(serial, "serial", sc, "incomplete");
-          if (!stripe.equals(snap)) {
-            flag(serial, "serial", sc, "decoded stripe not byte-identical");
-          }
-        }
-      }
-    }
-  }
-
-  if (scrub_thread.joinable()) {
-    scrub_stop.store(true, std::memory_order_relaxed);
-    scrub_thread.join();
+  if (opts.scrub_rate_kbps > 0) {
     std::fprintf(stderr,
                  "%s: background scrub: %zu cycle(s) at %.0f KiB/s beside "
                  "the serving campaign\n",
-                 code.name().c_str(), scrub_cycles, scrub_rate_kbps);
+                 code.name().c_str(), report.scrub_cycles,
+                 opts.scrub_rate_kbps);
   }
-
-  const std::size_t verify_failures = clean.verify_failures +
-                                      hedged.verify_failures +
-                                      serial.verify_failures;
-  const auto phase_json = [](std::string& out, const char* name,
-                             const PhaseStats& st) {
-    out += "\"";
-    out += name;
-    out += "\":{\"requests\":" + std::to_string(st.requests);
-    out += ",\"rejected\":" + std::to_string(st.rejected);
-    out += ",\"verify_failures\":" + std::to_string(st.verify_failures);
-    out += ",\"fallbacks\":" + std::to_string(st.fallbacks);
-    out += ",\"overlapped\":" + std::to_string(st.overlapped);
-    out += ",\"hedges\":{\"launched\":" + std::to_string(st.hedges_launched);
-    out += ",\"won\":" + std::to_string(st.hedges_won);
-    out += ",\"wasted\":" + std::to_string(st.hedges_wasted);
-    out += "},\"latency\":";
-    st.latency.append_json(out);
-    out += "}";
-  };
-  std::string json = "{\"code\":\"" + code.name() + "\",";
-  phase_json(json, "clean", clean);
-  json += ",";
-  phase_json(json, "hedged", hedged);
-  if (run_serial) {
-    json += ",";
-    phase_json(json, "serial", serial);
-  }
-  json += ",\"verify_failures\":" + std::to_string(verify_failures) + "}";
-  std::printf("%s\n", json.c_str());
+  std::printf("%s\n", report.to_json().c_str());
   if (args.get("metrics", 0) != 0) {
     std::fprintf(stderr, "%s\n", serve_metrics().to_json().c_str());
   }
 
-  const double clean_p99 = clean.latency.quantile_seconds(0.99);
-  const double hedged_p99 = hedged.latency.quantile_seconds(0.99);
-  const double serial_p99 = serial.latency.quantile_seconds(0.99);
+  const double clean_p99 = report.clean.latency.quantile_seconds(0.99);
+  const double hedged_p99 = report.hedged.latency.quantile_seconds(0.99);
+  const double serial_p99 = report.serial.latency.quantile_seconds(0.99);
   std::fprintf(stderr,
                "%s: serve campaign: %zu requests, p99 clean %.3gms hedged "
                "%.3gms serial %.3gms, %zu hedges (%zu won), %zu fallbacks, "
                "%zu verify failure(s)\n",
                code.name().c_str(),
-               clean.requests + hedged.requests + serial.requests,
+               report.clean.requests + report.hedged.requests +
+                   report.serial.requests,
                clean_p99 * 1e3, hedged_p99 * 1e3, serial_p99 * 1e3,
-               hedged.hedges_launched, hedged.hedges_won, hedged.fallbacks,
-               verify_failures);
-  if (verify_failures != 0) return 1;
+               report.hedged.hedges_launched, report.hedged.hedges_won,
+               report.hedged.fallbacks, report.verify_failures());
+  if (report.verify_failures() != 0) return 1;
   if (assert_ratio > 0) {
     const double allowed =
         std::max(clean_p99 * static_cast<double>(assert_ratio) / 100.0,
@@ -1174,7 +733,7 @@ int cmd_serve(const ErasureCode& code, const Args& args) {
                    assert_floor_us);
       return 1;
     }
-    if (run_serial && hedged_p99 >= serial_p99) {
+    if (report.ran_serial && hedged_p99 >= serial_p99) {
       std::fprintf(stderr,
                    "ASSERT FAIL: hedged p99 %.6fs does not beat serial "
                    "p99 %.6fs\n",
@@ -1185,299 +744,50 @@ int cmd_serve(const ErasureCode& code, const Args& args) {
   return 0;
 }
 
-// Continuous-scrub campaign (docs/ROBUSTNESS.md, "Scrubbing & proactive
-// repair"):
-//
-//   ppm_cli scrub --code <family> [params] [--stripes N] [--block B]
-//           [--seed S] [--epochs E] [--permanent P] [--corrupt P]
-//           [--rate-kbps K] [--retries N] [--spot-every N]
-//           [--dir <journal dir>] [--drill 1] [--metrics 1]
-//
-// A fleet of --stripes independent stripes sits behind read/write fault
-// seams. Latent errors (permanent death, silent corruption; percentages
-// per block) *arrive* on a seeded epoch schedule (roll_arrivals); each
-// epoch the scrubber sweeps, risk-ranks and repairs, writing repaired
-// blocks back through the seam (which heals the fault — the storage is
-// actually fixed, not re-detected forever).
-//
-// The campaign is judged against the schedule alone, like `chaos`:
-//   * every scheduled arrival must appear in some sweep's latent set
-//     (zero detection misses);
-//   * every stripe whose cumulative damage stays within the code's
-//     capability at every epoch must end byte-identical to its reference
-//     with zero residual damage in a final sweep;
-//   * with a journal attached, a closing zero-trust replay must verify
-//     every committed claim (zero false "repaired" claims).
-// Exit 1 on any miss. Deterministic from --seed.
-//
-// --drill 1 runs the crash-replay drill instead: plant one latent error,
-// crash the repairer between journal intent and commit
-// (crash_after_intents), restart with a fresh journal + scrubber, and
-// require replay to surface the pending intent with no false claims
-// before the re-run repairs and re-verifies cleanly.
+// Continuous-scrub campaign (campaign::run_scrub) or, with --drill 1, the
+// crash drill (campaign::run_drill): report JSON on stdout; exit 1 on any
+// miss.
 int cmd_scrub(const ErasureCode& code, const Args& args) {
-  const std::size_t block = args.get("block", 4096);
-  const std::size_t stripes = std::max<std::size_t>(1, args.get("stripes", 6));
-  const std::size_t epochs = std::max<std::size_t>(1, args.get("epochs", 4));
-  const std::size_t retries = args.get("retries", 3);
-  const std::uint64_t seed = args.get("seed", 1);
-  const std::string dir = args.get("dir", std::string{});
-  const bool drill = args.get("drill", 0) != 0;
+  campaign::ScrubOptions opts;
+  opts.block_bytes = args.get("block", opts.block_bytes);
+  opts.stripes = args.get("stripes", opts.stripes);
+  opts.epochs = args.get("epochs", opts.epochs);
+  opts.retries = args.get("retries", opts.retries);
+  opts.seed = args.get("seed", opts.seed);
+  opts.permanent = probability(args, "permanent", opts.permanent);
+  opts.corrupt = probability(args, "corrupt", opts.corrupt);
+  opts.spot_every = args.get("spot-every", opts.spot_every);
+  opts.rate_kbps = static_cast<double>(args.get("rate-kbps", 0));
+  opts.journal_dir = args.get("dir", std::string{});
 
-  io::FaultInjectingSource::ArrivalOptions arrivals;
-  arrivals.fail_permanent =
-      static_cast<double>(args.get("permanent", 6)) / 100.0;
-  arrivals.corrupt = static_cast<double>(args.get("corrupt", 8)) / 100.0;
-  arrivals.epochs = epochs;
-
-  const std::size_t total = code.total_blocks();
-
-  // The fleet: per stripe, mutable storage (the "disks"), a decode
-  // scratch stripe, reference snapshot + digests, and the store/fault
-  // seam the scrubber patrols through.
-  struct Member {
-    std::unique_ptr<Stripe> storage;
-    std::unique_ptr<Stripe> scratch;
-    std::vector<std::uint8_t> snap;
-    std::vector<std::uint32_t> digests;
-    std::unique_ptr<io::MemoryBlockStore> store;
-    std::unique_ptr<io::FaultInjectingSource> seam;
-  };
-  const TraditionalDecoder trad(code);
-  Rng fill_rng(seed + 17);
-  std::vector<Member> fleet(stripes);
-  for (Member& m : fleet) {
-    m.storage = std::make_unique<Stripe>(code, block);
-    m.storage->fill_data(fill_rng);
-    if (!trad.encode(m.storage->block_ptrs(), block)) return 1;
-    m.snap = m.storage->snapshot();
-    m.digests.resize(total);
-    for (std::size_t b = 0; b < total; ++b) {
-      m.digests[b] = crc32(m.storage->block(b), block);
-    }
-    m.scratch = std::make_unique<Stripe>(code, block);
-    m.store = std::make_unique<io::MemoryBlockStore>(
-        m.storage->block_ptrs(), total, block);
-    m.seam = std::make_unique<io::FaultInjectingSource>(*m.store, *m.store);
-  }
-
-  Codec codec(code);
-  scrub::ScrubOptions sopt;
-  sopt.sweep_read_retries = retries;
-  sopt.spot_check_every = args.get("spot-every", 0);
-  sopt.rate_bytes_per_sec =
-      static_cast<double>(args.get("rate-kbps", 0)) * 1024.0;
-  sopt.repair.max_read_retries = retries;
-
-  const auto add_targets = [&](scrub::Scrubber& scrubber) {
-    for (std::size_t i = 0; i < stripes; ++i) {
-      scrub::ScrubTarget target;
-      target.source = fleet[i].seam.get();
-      target.writer = fleet[i].seam.get();
-      target.blocks = fleet[i].scratch->block_ptrs();
-      target.expected_crc = fleet[i].digests;
-      target.stripe_id = "stripe-" + std::to_string(i);
-      scrubber.add_target(std::move(target));
-    }
-  };
-
-  std::size_t failures = 0;
-  const auto flag = [&](const char* what) {
-    ++failures;
-    std::fprintf(stderr, "VERIFY FAIL: %s\n", what);
-  };
-  const auto print_metrics = [&] {
-    if (args.get("metrics", 0) != 0) {
-      std::fprintf(stderr, "%s\n", scrub_metrics().to_json().c_str());
-    }
-  };
-
-  if (drill) {
-    if (dir.empty()) {
+  bool ok = false;
+  if (args.get("drill", 0) != 0) {
+    if (opts.journal_dir.empty()) {
       std::fprintf(stderr, "scrub --drill requires --dir <journal dir>\n");
       return 2;
     }
-    // The drill is a self-contained simulation: start from an empty
-    // journal so records from an earlier drill cannot be mistaken for
-    // this run's crash evidence.
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    // Plant one silent corruption, then crash between intent and commit.
-    const std::size_t victim = 1 % total;
-    io::FaultSpec rot;
-    rot.corrupt = true;
-    rot.corrupt_offset = 3 % block;
-    rot.corrupt_bytes = 8;
-    fleet[0].seam->set_fault(victim, rot);
-    {
-      scrub::ScrubOptions crash_opt = sopt;
-      crash_opt.crash_after_intents = 1;
-      scrub::RepairJournal wal(dir);
-      scrub::Scrubber crasher(codec, crash_opt, &wal);
-      add_targets(crasher);
-      const scrub::CycleReport cycle = crasher.run_cycle();
-      if (cycle.sweep.latent_total == 0) flag("drill: corruption not detected");
-      if (!cycle.repair.crashed_for_test) flag("drill: crash hook never fired");
-      if (cycle.repair.completed != 0) {
-        flag("drill: a repair committed before the crash");
-      }
-    }
-    // "Restart": fresh journal + scrubber over the same fleet. Replay
-    // must surface the pending intent, claim nothing repaired, and hand
-    // the outstanding damage to the next cycle.
-    scrub::RepairJournal wal(dir);
-    scrub::Scrubber scrubber(codec, sopt, &wal);
-    add_targets(scrubber);
-    const scrub::ReplayReport replay = scrubber.replay();
-    if (replay.pending_intents == 0) flag("drill: no pending intent found");
-    if (replay.false_claims != 0) flag("drill: false repaired claim");
-    if (replay.outstanding.empty()) {
-      flag("drill: outstanding damage not surfaced");
-    }
-    const scrub::CycleReport cycle = scrubber.run_cycle();
-    if (cycle.repair.completed == 0) {
-      flag("drill: post-restart repair did not complete");
-    }
-    if (!fleet[0].storage->equals(fleet[0].snap)) {
-      flag("drill: repaired stripe not byte-identical");
-    }
-    const scrub::ReplayReport replay2 = scrubber.replay();
-    if (replay2.false_claims != 0) flag("drill: committed claim re-verify");
-    if (!replay2.outstanding.empty()) flag("drill: damage survived repair");
-    std::printf(
-        "{\"code\":\"%s\",\"drill\":true,\"pending_intents\":%zu,"
-        "\"false_claims\":%zu,\"verified_commits\":%zu,"
-        "\"verify_failures\":%zu}\n",
-        code.name().c_str(), replay.pending_intents,
-        replay.false_claims + replay2.false_claims, replay2.verified_commits,
-        failures);
-    print_metrics();
-    return failures == 0 ? 0 : 1;
+    const campaign::DrillReport report = campaign::run_drill(code, opts);
+    print_verdict(report.verdict);
+    std::printf("%s\n", report.to_json().c_str());
+    ok = report.verdict.ok();
+  } else {
+    const campaign::ScrubReport report = campaign::run_scrub(code, opts);
+    print_verdict(report.verdict);
+    std::fprintf(stderr,
+                 "%s: scrub campaign: %zu stripe(s) x %zu epoch(s), %zu "
+                 "arrival(s) (%zu landed), %zu detected, %zu missed, "
+                 "repairs %zu/%zu complete, %zu verify failure(s)\n",
+                 code.name().c_str(), report.stripes, report.epochs,
+                 report.arrivals, report.landed, report.detected,
+                 report.missed, report.repairs_completed,
+                 report.repairs_attempted, report.verdict.failures.size());
+    std::printf("%s\n", report.to_json().c_str());
+    ok = report.verdict.ok();
   }
-
-  // Roll every stripe's arrival schedule from one seeded stream; the
-  // schedule is the oracle everything below is judged against.
-  Rng rng(seed);
-  for (Member& m : fleet) m.seam->roll_arrivals(arrivals, rng);
-  std::size_t scheduled = 0;
-  for (const Member& m : fleet) scheduled += m.seam->arrivals().size();
-
-  std::optional<scrub::RepairJournal> journal;
-  if (!dir.empty()) {
-    // The campaign owns its journal dir: records from an earlier run
-    // would be replayed against this run's fleet and judged as stale.
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    journal.emplace(dir);
+  if (args.get("metrics", 0) != 0) {
+    std::fprintf(stderr, "%s\n", scrub_metrics().to_json().c_str());
   }
-  scrub::Scrubber scrubber(codec, sopt,
-                           journal.has_value() ? &*journal : nullptr);
-  add_targets(scrubber);
-
-  std::set<std::pair<std::size_t, std::size_t>> detected;
-  std::size_t landed = 0;
-  std::size_t repairs_attempted = 0;
-  std::size_t repairs_completed = 0;
-  std::size_t repairs_partial = 0;
-  std::size_t repairs_failed = 0;
-  for (std::size_t epoch = 1; epoch <= epochs; ++epoch) {
-    for (Member& m : fleet) landed += m.seam->advance_epoch();
-    const scrub::CycleReport cycle = scrubber.run_cycle();
-    for (const scrub::StripeDamage& damage : cycle.sweep.stripes) {
-      for (const std::size_t b : damage.latent) {
-        detected.insert({damage.stripe, b});
-      }
-    }
-    repairs_attempted += cycle.repair.attempted;
-    repairs_completed += cycle.repair.completed;
-    repairs_partial += cycle.repair.partial;
-    repairs_failed += cycle.repair.failed;
-  }
-  const scrub::SweepReport final_sweep = scrubber.sweep();
-
-  // Judge 1: zero detection misses. Every scheduled arrival was
-  // installed before its epoch's sweep ran, so it must have been seen.
-  std::size_t missed = 0;
-  for (std::size_t i = 0; i < stripes; ++i) {
-    for (const auto& arrival : fleet[i].seam->arrivals()) {
-      if (detected.count({i, arrival.block}) == 0) {
-        ++missed;
-        std::fprintf(stderr,
-                     "VERIFY FAIL: stripe %zu block %zu (epoch %zu) "
-                     "was never detected\n",
-                     i, arrival.block, arrival.epoch);
-        ++failures;
-      }
-    }
-  }
-
-  // Judge 2: schedule-derived repair expectation. Replay the arrival
-  // schedule through the capability model: damage accumulates per epoch
-  // and clears whenever the cumulative set is decodable (that is what a
-  // correct scrub cycle must achieve, since writebacks heal the seam).
-  // A stripe that ever exceeds capability is excused from then on —
-  // partial recovery there is best-effort.
-  for (std::size_t i = 0; i < stripes; ++i) {
-    std::vector<std::size_t> active;
-    bool excused = false;
-    for (std::size_t epoch = 1; epoch <= epochs && !excused; ++epoch) {
-      for (const auto& arrival : fleet[i].seam->arrivals()) {
-        if (arrival.epoch == epoch) active.push_back(arrival.block);
-      }
-      const FailureScenario sc(active);
-      if (sc.count() <= code.check_rows() &&
-          codec.plan_for(sc) != nullptr) {
-        active.clear();
-      } else if (!sc.empty()) {
-        excused = true;
-      }
-    }
-    if (excused) continue;
-    if (!fleet[i].storage->equals(fleet[i].snap)) {
-      std::fprintf(stderr,
-                   "VERIFY FAIL: within-capability stripe %zu not "
-                   "byte-identical after repair\n",
-                   i);
-      ++failures;
-    }
-    if (!final_sweep.stripes[i].latent.empty()) {
-      std::fprintf(stderr,
-                   "VERIFY FAIL: stripe %zu has residual damage after "
-                   "the campaign\n",
-                   i);
-      ++failures;
-    }
-  }
-
-  // Judge 3: with a journal, every committed claim must re-verify.
-  std::size_t false_claims = 0;
-  std::size_t verified_commits = 0;
-  if (journal.has_value()) {
-    const scrub::ReplayReport replay = scrubber.replay();
-    false_claims = replay.false_claims;
-    verified_commits = replay.verified_commits;
-    if (false_claims != 0) flag("journal replay found false claims");
-  }
-
-  std::fprintf(stderr,
-               "%s: scrub campaign: %zu stripe(s) x %zu epoch(s), %zu "
-               "arrival(s) (%zu landed), %zu detected, %zu missed, "
-               "repairs %zu/%zu complete, %zu verify failure(s)\n",
-               code.name().c_str(), stripes, epochs, scheduled, landed,
-               detected.size(), missed, repairs_completed, repairs_attempted,
-               failures);
-  std::printf(
-      "{\"code\":\"%s\",\"stripes\":%zu,\"epochs\":%zu,\"arrivals\":%zu,"
-      "\"detected\":%zu,\"missed\":%zu,\"repairs\":{\"attempted\":%zu,"
-      "\"completed\":%zu,\"partial\":%zu,\"failed\":%zu},"
-      "\"journal\":{\"verified_commits\":%zu,\"false_claims\":%zu},"
-      "\"rate_limit_waits\":%zu,\"verify_failures\":%zu}\n",
-      code.name().c_str(), stripes, epochs, scheduled, detected.size(),
-      missed, repairs_attempted, repairs_completed, repairs_partial,
-      repairs_failed, verified_commits, false_claims,
-      scrubber.bucket().waits(), failures);
-  print_metrics();
-  return failures == 0 ? 0 : 1;
+  return ok ? 0 : 1;
 }
 
 int cmd_selftest(const ErasureCode& code, const Args& args) {
@@ -1566,13 +876,13 @@ int cmd_store(const ErasureCode& code, const Args& args) {
     codec.attach_store(dir);
     std::size_t built = 0;
     std::size_t undecodable = 0;
-    for_each_selected_scenario(code, args, [&](const FailureScenario& sc) {
+    for (const FailureScenario& sc : selected_scenarios(code, args)) {
       if (codec.plan_for(sc) == nullptr) {
         ++undecodable;
       } else {
         ++built;
       }
-    });
+    }
     const std::uint64_t stored = codec.metrics().planstore_stores.value();
     std::fprintf(stderr, "%s: %zu plan(s) built (%zu undecodable), %llu "
                  "persisted to %s\n",
@@ -1802,7 +1112,7 @@ int main(int argc, char** argv) {
                  "       %s store {build|ls|check|gc} --dir <dir> [params]\n"
                  "       %s chaos --code <family> [--sweep N] [--seed S] "
                  "[--rounds R] [--permanent P] [--transient P] [--corrupt P] "
-                 "[--straggle P] [--retries N]\n"
+                 "[--retries N]\n"
                  "       %s serve --code <family> [--sweep N] [--seed S] "
                  "[--rounds R] [--requests N] [--straggle P] [--delay-us U] "
                  "[--serial 0|1] [--assert-ratio P] [--scrub-rate-kbps K]\n"

@@ -352,12 +352,10 @@ int main(int argc, char** argv) {
         if (read_set.empty()) continue;
         const std::size_t victim =
             read_set[rng.bounded(read_set.size())];
-        std::vector<const std::uint8_t*> backing(code->total_blocks());
-        std::vector<std::uint32_t> digests(code->total_blocks());
-        for (std::size_t b = 0; b < code->total_blocks(); ++b) {
-          backing[b] = snap.data() + b * block;
-          digests[b] = crc32(backing[b], block);
-        }
+        const auto backing =
+            campaign::snapshot_ptrs(snap, code->total_blocks(), block);
+        const auto digests =
+            campaign::digests_of(snap, code->total_blocks(), block);
         io::MemoryBlockSource mem(backing.data(), code->total_blocks(),
                                   block);
         io::FaultInjectingSource source(mem);
